@@ -140,7 +140,7 @@ def _execute_run(resolved: ResolvedRun, run_dir: Path, args) -> dict:
             resolved.experiment,
             resume_from=getattr(args, "resume", None),
             checkpoint_path=str(run_dir / "checkpoint.json")
-            if getattr(args, "checkpoint_every", None)
+            if getattr(args, "checkpoint_every", None) is not None
             else None,
             checkpoint_every=getattr(args, "checkpoint_every", None),
             on_round=on_round,

@@ -43,7 +43,6 @@ _SCHEMA: dict[str, tuple[str, object]] = {
     "kappa": ("float", 0.3),
     "fixed_group_count": ("int", 0),  # 0 = unset
     "target_accuracy": ("float", 0.8),
-    "parallel_groups": ("int", 0),
     "task.num_classes": ("int", 10),
     "task.num_clients": ("int", 60),
     "task.samples_per_client": ("int", 50),
@@ -194,7 +193,6 @@ def resolve(settings: dict[str, str], overrides: dict[str, str] | None = None) -
         rounds=values["rounds"],
         fixed_group_count=values["fixed_group_count"] or None,
         run_seed=stream_id(seed, "run"),
-        parallel_groups=values["parallel_groups"],
         cost=cost,
     )
 

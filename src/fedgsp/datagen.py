@@ -14,7 +14,6 @@ bit-identical datasets on every run.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,43 +222,3 @@ def generate_task(spec: SyntheticTaskSpec) -> tuple[list[ClientDataset], TestSet
 def class_distribution(dataset: ClientDataset) -> ClassDistribution:
     """Tally the dataset's labels (pure; ignores the stored distribution)."""
     return ClassDistribution.from_labels(dataset.labels, len(dataset.distribution.counts))
-
-
-def dump_clients_csv(clients: list[ClientDataset], path: str) -> None:
-    """Write clients to a columnar CSV: client_id, label, feature_0..feature_{d-1}."""
-    dim = clients[0].features.shape[1]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["client_id", "label"] + [f"feature_{j}" for j in range(dim)])
-        for client in clients:
-            for row, label in zip(client.features, client.labels):
-                writer.writerow(
-                    [client.client_id, int(label)] + [repr(float(v)) for v in row]
-                )
-
-
-def load_clients_csv(path: str, num_classes: int) -> list[ClientDataset]:
-    """Read back a dump produced by :func:`dump_clients_csv`."""
-    per_client: dict[int, list[tuple[int, list[float]]]] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if header[:2] != ["client_id", "label"]:
-            raise ValueError(f"unrecognized client CSV header: {header[:2]}")
-        for row in reader:
-            client_id, label = int(row[0]), int(row[1])
-            per_client.setdefault(client_id, []).append((label, [float(v) for v in row[2:]]))
-    clients = []
-    for client_id in sorted(per_client):
-        rows = per_client[client_id]
-        labels = np.array([label for label, _ in rows], dtype=np.int64)
-        features = np.array([feats for _, feats in rows], dtype=float)
-        clients.append(
-            ClientDataset(
-                client_id=client_id,
-                features=features,
-                labels=labels,
-                distribution=ClassDistribution.from_labels(labels, num_classes),
-            )
-        )
-    return clients

@@ -11,16 +11,13 @@ knobs: where the round's group count comes from, and how groups are formed.
 Each round: regroup, sample a fraction kappa of the groups, seed every
 sampled group's chain with the current global model, train the chain
 client-by-client, and average the chain outputs (divided by the number of
-sampled groups) into the next global model. Groups may train concurrently;
-results are reduced in ascending group id, so scheduling never changes the
-aggregate bit pattern.
+sampled groups) into the next global model.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,7 +105,6 @@ class ExperimentConfig:
     rounds: int = 500
     fixed_group_count: int | None = None
     run_seed: int = 0
-    parallel_groups: int = 0
     cost: CostModelParams | None = None
 
     def __post_init__(self) -> None:
@@ -120,8 +116,6 @@ class ExperimentConfig:
             raise ConfigurationError(f"kappa must be in (0, 1], got {self.kappa}")
         if self.rounds < 0:
             raise ConfigurationError(f"rounds must be >= 0, got {self.rounds}")
-        if self.parallel_groups < 0:
-            raise ConfigurationError(f"parallel_groups must be >= 0, got {self.parallel_groups}")
         if self.algorithm in ("naive_gsp", "naive_gsp_icg"):
             if self.fixed_group_count is None or self.fixed_group_count < 1:
                 raise ConfigurationError(
@@ -242,15 +236,7 @@ def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
         )
     )
 
-    if config.parallel_groups > 1:
-        with ThreadPoolExecutor(max_workers=config.parallel_groups) as pool:
-            futures = {g: pool.submit(_train_chain, state, plan, int(g)) for g in sampled}
-            outputs = {g: futures[g].result() for g in sampled}
-    else:
-        outputs = {g: _train_chain(state, plan, int(g)) for g in sampled}
-
-    # Reduce in ascending group id regardless of completion order.
-    stacked = np.stack([outputs[g].values for g in sampled])
+    stacked = np.stack([_train_chain(state, plan, int(g)).values for g in sampled])
     state.params = ModelParams(values=stacked.mean(axis=0), layout=state.params.layout)
 
     accuracy, loss = evaluate(state.params, state.test_set)
@@ -328,13 +314,18 @@ def run_experiment(
         resume_from: Optional checkpoint path to continue from.
         checkpoint_path: Where to write checkpoints (required with
             ``checkpoint_every``).
-        checkpoint_every: Write a checkpoint after every N completed rounds.
+        checkpoint_every: Write a checkpoint after every N >= 1 completed rounds.
         on_round: Optional ``callback(state, record)`` invoked after each round.
 
     Returns:
         The records of the rounds executed by this call and the final global
         model.
     """
+    if checkpoint_every is not None:
+        if checkpoint_every < 1:
+            raise ConfigurationError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+        if checkpoint_path is None:
+            raise ConfigurationError("checkpoint_every requires checkpoint_path")
     state = new_experiment_state(config)
     if resume_from is not None:
         completed, run_seed, params = load_checkpoint(resume_from)
@@ -344,17 +335,11 @@ def run_experiment(
             )
         state.params = params
         state.completed_rounds = completed
-    if checkpoint_every is not None and checkpoint_path is None:
-        raise ConfigurationError("checkpoint_every requires checkpoint_path")
 
     for round_index in range(state.completed_rounds + 1, config.rounds + 1):
         record = run_round(state, round_index)
         if on_round is not None:
             on_round(state, record)
-        if (
-            checkpoint_path is not None
-            and checkpoint_every is not None
-            and round_index % checkpoint_every == 0
-        ):
+        if checkpoint_every is not None and round_index % checkpoint_every == 0:
             save_checkpoint(state, checkpoint_path)
     return state.records, state.params

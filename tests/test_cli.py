@@ -232,6 +232,16 @@ class TestCmdRun:
         resumed_rows = read_rows(resumed / "smoke" / "rounds.csv")
         assert resumed_rows[1:] == full_rows[3:]
 
+    @pytest.mark.parametrize("every", ["0", "-2"])
+    def test_non_positive_checkpoint_every_rejected(self, tmp_path, config_path, capsys, every):
+        out = tmp_path / "out"
+        code = main(
+            ["run", "--config", str(config_path), "--out", str(out), "--checkpoint-every", every]
+        )
+        assert code == 1
+        assert "checkpoint_every must be >= 1" in capsys.readouterr().err
+        assert not (out / "smoke" / "checkpoint.json").exists()
+
 
 class TestCmdAblation:
     def test_four_arms_and_comparison(self, tmp_path, config_path):

@@ -8,10 +8,8 @@ from fedgsp.datagen import (
     ClientDataset,
     SyntheticTaskSpec,
     class_distribution,
-    dump_clients_csv,
     generate_task,
     largest_remainder_counts,
-    load_clients_csv,
 )
 from fedgsp.errors import ConfigurationError
 from fedgsp.metrics import median_pairwise_cpd
@@ -172,16 +170,3 @@ class TestClassDistributionOp:
             assert np.array_equal(
                 class_distribution(client).counts, client.distribution.counts
             )
-
-
-class TestCsvRoundTrip:
-    def test_dump_load(self, tmp_path):
-        clients, _ = generate_task(make_spec(num_clients=3, samples_per_client=10))
-        path = tmp_path / "clients.csv"
-        dump_clients_csv(clients, str(path))
-        loaded = load_clients_csv(str(path), num_classes=5)
-        assert len(loaded) == 3
-        for a, b in zip(clients, loaded):
-            assert a.client_id == b.client_id
-            assert np.array_equal(a.labels, b.labels)
-            assert np.array_equal(a.features, b.features)

@@ -243,14 +243,6 @@ class TestRunExperiment:
         second, _ = run_experiment(make_config())
         assert first == second
 
-    def test_parallel_groups_identical_to_serial(self):
-        serial_records, serial_params = run_experiment(make_config(kappa=1.0))
-        parallel_records, parallel_params = run_experiment(
-            make_config(kappa=1.0, parallel_groups=3)
-        )
-        assert serial_records == parallel_records
-        assert np.array_equal(serial_params.values, parallel_params.values)
-
     def test_costs_accumulate(self):
         records, _ = run_experiment(make_config())
         comp = [r.t_comp_cum_s for r in records]
