@@ -14,7 +14,6 @@ from .grouping import (
     GroupCentroidReport,
     GroupingPlan,
     IcgResult,
-    grouping_objective_z,
     inter_cluster_grouping,
     random_grouping,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "d_comm",
     "evaluate",
     "generate_task",
-    "grouping_objective_z",
     "growth_eval",
     "init_model",
     "inter_cluster_grouping",

@@ -20,11 +20,20 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import ResolvedRun, load_config_file, parse_override, resolve
 from .errors import ConfigurationError
-from .metrics import cpd
-from .orchestrator import run_experiment
+from .grouping import group_distributions
+from .metrics import pairwise_cpd
+from .orchestrator import (
+    _build_plan,
+    growth_eval,
+    new_experiment_state,
+    preflight,
+    run_experiment,
+)
 
 OUT_ROOT_ENV = "FEDGSP_OUT_ROOT"
 
@@ -77,21 +86,21 @@ def _write_rounds_csv(path: Path, records) -> None:
             )
 
 
-def _rounds_to_target(rows: list[tuple[int, float]], target: float) -> int | None:
-    for round_index, accuracy in rows:
+def _rounds_to_target(rows: list[tuple[int, float, float]], target: float) -> int | None:
+    for round_index, accuracy, _ in rows:
         if accuracy >= target:
             return round_index
     return None
 
 
-def _summary(records, target: float) -> dict:
-    rows = [(r.round_index, r.accuracy) for r in records]
+def _summary(rows: list[tuple[int, float, float]], target: float) -> dict:
+    """Summary payload from ``(round, accuracy, loss)`` rows."""
     return {
-        "final_accuracy": records[-1].accuracy if records else None,
-        "final_loss": records[-1].loss if records else None,
+        "final_accuracy": rows[-1][1] if rows else None,
+        "final_loss": rows[-1][2] if rows else None,
         "rounds_to_target": _rounds_to_target(rows, target),
         "target_accuracy": target,
-        "rounds": len(records),
+        "rounds": len(rows),
     }
 
 
@@ -108,7 +117,17 @@ def _resolve_args_config(args) -> ResolvedRun:
 
 
 def _execute_run(resolved: ResolvedRun, run_dir: Path, args) -> dict:
-    """Run one experiment into ``run_dir``; returns the summary payload."""
+    """Run one experiment into ``run_dir``; returns the summary payload.
+
+    Argument errors surface before ``run_dir`` or its manifest is touched.
+    """
+    resume_from = getattr(args, "resume", None)
+    checkpoint_every = getattr(args, "checkpoint_every", None)
+    checkpoint_path = (
+        str(run_dir / "checkpoint.json") if checkpoint_every is not None else None
+    )
+    preflight(resolved.experiment, resume_from, checkpoint_path, checkpoint_every)
+
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = run_dir / "manifest.json"
     csv_path = run_dir / "rounds.csv"
@@ -138,11 +157,9 @@ def _execute_run(resolved: ResolvedRun, run_dir: Path, args) -> dict:
     try:
         records, _ = run_experiment(
             resolved.experiment,
-            resume_from=getattr(args, "resume", None),
-            checkpoint_path=str(run_dir / "checkpoint.json")
-            if getattr(args, "checkpoint_every", None) is not None
-            else None,
-            checkpoint_every=getattr(args, "checkpoint_every", None),
+            resume_from=resume_from,
+            checkpoint_path=checkpoint_path,
+            checkpoint_every=checkpoint_every,
             on_round=on_round,
         )
     except Exception as exc:
@@ -156,7 +173,9 @@ def _execute_run(resolved: ResolvedRun, run_dir: Path, args) -> dict:
             grouping_dump.close()
 
     _write_rounds_csv(csv_path, records)
-    summary = _summary(records, resolved.target_accuracy)
+    summary = _summary(
+        [(r.round_index, r.accuracy, r.loss) for r in records], resolved.target_accuracy
+    )
     _write_json(summary_path, summary)
     manifest["status"] = "completed"
     manifest["finished_at"] = _now()
@@ -175,21 +194,11 @@ def cmd_run(args) -> int:
 
 def _first_round_pair_cpds(resolved: ResolvedRun):
     """(first, second, cpd) rows for the round-1 grouping of this arm."""
-    from .orchestrator import new_experiment_state, _build_plan
-
     state = new_experiment_state(resolved.experiment)
     plan = _build_plan(state, 1)
-    if resolved.experiment.algorithm == "fedavg":
-        units = [c.distribution.counts for c in state.clients]
-    else:
-        units = [
-            sum(state.clients[c].distribution.counts for c in group) for group in plan.groups
-        ]
-    rows = []
-    for i in range(len(units)):
-        for j in range(i + 1, len(units)):
-            rows.append((i, j, cpd(units[i], units[j])))
-    return rows
+    units = group_distributions(plan, [c.distribution for c in state.clients])
+    first, second = np.triu_indices(len(units), k=1)
+    return zip(first.tolist(), second.tolist(), pairwise_cpd(units).tolist())
 
 
 def cmd_ablation(args) -> int:
@@ -211,7 +220,7 @@ def cmd_ablation(args) -> int:
         if arm in ("naive_gsp", "naive_gsp_icg") and fixed_unset:
             # Freeze the naive arms at the growth schedule's starting point.
             base = resolve(settings, {**overrides, "algorithm": "fedgsp"})
-            arm_overrides["fixed_group_count"] = str(base.experiment.growth(1))
+            arm_overrides["fixed_group_count"] = str(growth_eval(base.experiment.growth, 1))
         resolved = resolve(settings, arm_overrides)
         summary = _execute_run(resolved, root / arm, args)
         comparison.append(
@@ -292,14 +301,7 @@ def cmd_report(args) -> int:
         if tuple(header) != CSV_COLUMNS:
             raise ConfigurationError(f"unexpected CSV header in {args.csv}: {header}")
         rows = [(int(row[0]), float(row[3]), float(row[4])) for row in reader]
-    summary = {
-        "final_accuracy": rows[-1][1] if rows else None,
-        "final_loss": rows[-1][2] if rows else None,
-        "rounds_to_target": _rounds_to_target([(r, a) for r, a, _ in rows], args.target_accuracy),
-        "target_accuracy": args.target_accuracy,
-        "rounds": len(rows),
-    }
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    print(json.dumps(_summary(rows, args.target_accuracy), indent=2, sort_keys=True))
     return 0
 
 

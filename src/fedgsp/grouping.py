@@ -22,7 +22,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import mcf
-from .metrics import CpdConfig, cpd
 from .rng import generator, stream_id
 
 COST_SCALE = 10**6
@@ -369,27 +368,3 @@ def group_distributions(plan: GroupingPlan, distributions: Sequence) -> np.ndarr
     matrix = distribution_matrix(distributions)
     return np.stack([matrix[list(group)].sum(axis=0) for group in plan.groups])
 
-
-def grouping_objective_z(
-    plan: GroupingPlan,
-    distributions: Sequence,
-    distance: str = "squared_l2",
-    cpd_config: CpdConfig = CpdConfig(),
-) -> float:
-    """Diagnostic total pairwise distance between group class distributions.
-
-    Never used for optimization; ``distance`` is ``squared_l2`` (default) or
-    ``cpd``.
-    """
-    overall = group_distributions(plan, distributions)
-    total = 0.0
-    for i in range(len(overall)):
-        for j in range(i + 1, len(overall)):
-            if distance == "squared_l2":
-                diff = overall[i] - overall[j]
-                total += float(diff @ diff)
-            elif distance == "cpd":
-                total += cpd(overall[i], overall[j], cpd_config)
-            else:
-                raise ValueError(f"unknown distance {distance!r}")
-    return total

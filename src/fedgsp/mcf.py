@@ -4,6 +4,8 @@ Successive shortest paths with node potentials: augment along a cheapest
 residual path from a super-source to a super-sink until all supply is routed,
 or report infeasibility (with no partial flow). Costs, capacities and supplies
 are integers by contract; callers pre-scale real costs. All flows are integral.
+Unit costs are non-negative (``FlowNetwork`` rejects negative ones), so zero
+node potentials are valid from the first Dijkstra on.
 
 Determinism: arcs are stored and scanned in ascending index order, Dijkstra's
 heap breaks distance ties by node id, and labels improve only on strictly
@@ -52,7 +54,9 @@ class FlowNetwork:
                 raise ValueError(f"arc {i} references an unknown node")
             if capacity < 0:
                 raise ValueError(f"arc {i} has negative capacity")
-            if capacity > INT64_MAX or abs(cost) > INT64_MAX:
+            if cost < 0:
+                raise ValueError(f"arc {i} has negative unit cost")
+            if capacity > INT64_MAX or cost > INT64_MAX:
                 raise ValueError(f"arc {i} exceeds 64-bit range")
 
 
@@ -64,33 +68,6 @@ class FlowSolution:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "flows", np.asarray(self.flows, dtype=np.int64))
-
-
-def _initial_potentials(num_nodes, adjacency, to, cap, cost, source):
-    """Bellman-Ford distances from the super-source (handles negative costs)."""
-    inf = float("inf")
-    dist = [inf] * num_nodes
-    dist[source] = 0
-    for _ in range(num_nodes - 1):
-        changed = False
-        for u in range(num_nodes):
-            du = dist[u]
-            if du == inf:
-                continue
-            for e in adjacency[u]:
-                if cap[e] > 0 and du + cost[e] < dist[to[e]]:
-                    dist[to[e]] = du + cost[e]
-                    changed = True
-        if not changed:
-            break
-    else:
-        for u in range(num_nodes):
-            if dist[u] == inf:
-                continue
-            for e in adjacency[u]:
-                if cap[e] > 0 and dist[u] + cost[e] < dist[to[e]]:
-                    raise ValueError("network contains a negative-cost cycle")
-    return dist
 
 
 def solve(network: FlowNetwork) -> FlowSolution:
@@ -125,10 +102,8 @@ def solve(network: FlowNetwork) -> FlowSolution:
             cap.append(c)
             cost.append(w)
 
-    has_negative = False
     for tail, head, capacity, unit_cost in network.arcs:
         add_edge(tail, head, capacity, unit_cost)
-        has_negative = has_negative or unit_cost < 0
 
     required = 0
     for node, supply in enumerate(network.supplies):
@@ -139,11 +114,7 @@ def solve(network: FlowNetwork) -> FlowSolution:
             add_edge(node, sink, -supply, 0)
 
     inf = float("inf")
-    if has_negative:
-        bf = _initial_potentials(num_nodes, adjacency, to, cap, cost, source)
-        potential = [d if d != inf else 0 for d in bf]
-    else:
-        potential = [0] * num_nodes
+    potential = [0] * num_nodes
 
     sent = 0
     while sent < required:
@@ -192,6 +163,6 @@ def solve(network: FlowNetwork) -> FlowSolution:
     total_cost = 0
     for i, (_, _, _, unit_cost) in enumerate(network.arcs):
         total_cost += int(flows[i]) * unit_cost
-        if abs(total_cost) > INT64_MAX:
+        if total_cost > INT64_MAX:
             raise OverflowError("total cost exceeds the signed 64-bit range")
     return FlowSolution(flows=flows, total_cost=total_cost, status=STATUS_OPTIMAL)

@@ -82,6 +82,24 @@ def _normalized(counts) -> np.ndarray:
     return vec / total
 
 
+def _kernel_scale(config: CpdConfig) -> float:
+    return 1.0 - math.exp(-1.0 / config.sigma**2)
+
+
+def _pair_squared_distances(distributions: Sequence) -> np.ndarray:
+    """Squared L2 distances between normalized rows, every pair i < j in row-major order.
+
+    Works one row at a time, so memory grows with the G*(G-1)/2 results, not
+    with a (G, G, C) difference tensor.
+    """
+    if len(distributions) < 2:
+        return np.empty(0)
+    rows = np.stack([_normalized(d) for d in distributions])
+    return np.concatenate(
+        [((rows[i + 1 :] - rows[i]) ** 2).sum(axis=1) for i in range(len(rows) - 1)]
+    )
+
+
 def cpd(first, second, config: CpdConfig = CpdConfig()) -> float:
     """Squared-MMD distance between two class distributions.
 
@@ -93,22 +111,21 @@ def cpd(first, second, config: CpdConfig = CpdConfig()) -> float:
     Returns:
         A non-negative float; 0 iff the normalized distributions coincide.
     """
-    p = _normalized(first)
-    q = _normalized(second)
-    if p.shape != q.shape:
-        raise ValueError(f"class counts disagree: {p.shape} vs {q.shape}")
-    diff = p - q
-    return (1.0 - math.exp(-1.0 / config.sigma**2)) * float(diff @ diff)
+    return float(pairwise_cpd([first, second], config)[0])
+
+
+def pairwise_cpd(distributions: Sequence, config: CpdConfig = CpdConfig()) -> np.ndarray:
+    """CPD of every pair i < j, in row-major order; empty for fewer than 2 distributions."""
+    return _kernel_scale(config) * _pair_squared_distances(distributions)
 
 
 def median_pairwise_cpd(distributions: Sequence, config: CpdConfig = CpdConfig()) -> float:
     """Median CPD over all unordered pairs of the given distributions."""
     if len(distributions) < 2:
         raise ValueError("need at least 2 distributions")
-    rows = np.stack([_normalized(d) for d in distributions])
-    sq = np.sum((rows[:, None, :] - rows[None, :, :]) ** 2, axis=-1)
-    pairs = sq[np.triu_indices(len(rows), k=1)]
-    return (1.0 - math.exp(-1.0 / config.sigma**2)) * float(np.median(pairs))
+    # Median of the raw distances first: scaling each pair before averaging
+    # the middle two (even pair counts) can change the last bit.
+    return _kernel_scale(config) * float(np.median(_pair_squared_distances(distributions)))
 
 
 def t_comp(group_counts: Sequence[int], params: CostModelParams) -> float:

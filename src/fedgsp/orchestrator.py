@@ -27,6 +27,7 @@ from .datagen import ClientDataset, SyntheticTaskSpec, TestSet, generate_task
 from .errors import ConfigurationError
 from .grouping import (
     GroupingPlan,
+    group_distributions,
     inter_cluster_grouping,
     random_grouping,
     singleton_grouping,
@@ -65,9 +66,6 @@ class GrowthFunction:
             raise ConfigurationError(f"alpha must be > 0, got {self.alpha}")
         if self.beta < 1:
             raise ConfigurationError(f"beta must be >= 1, got {self.beta}")
-
-    def __call__(self, round_index: int) -> int:
-        return growth_eval(self, round_index)
 
 
 def growth_eval(growth: GrowthFunction, round_index: int) -> int:
@@ -241,10 +239,7 @@ def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
 
     accuracy, loss = evaluate(state.params, state.test_set)
     if plan.group_count >= 2:
-        overall = [
-            np.asarray([state.clients[c].distribution.counts for c in group]).sum(axis=0)
-            for group in plan.groups
-        ]
+        overall = group_distributions(plan, [c.distribution for c in state.clients])
         median_cpd = metrics.median_pairwise_cpd(overall)
     else:
         median_cpd = 0.0
@@ -300,6 +295,33 @@ def load_checkpoint(path: str) -> tuple[int, int, ModelParams]:
     return int(payload["round"]), int(payload["run_seed"]), params
 
 
+def preflight(
+    config: ExperimentConfig,
+    resume_from: str | None = None,
+    checkpoint_path: str | None = None,
+    checkpoint_every: int | None = None,
+) -> tuple[int, ModelParams] | None:
+    """Check the run arguments before anything runs or is written.
+
+    Returns the checkpoint's (completed rounds, params) when resuming, else
+    ``None``. Raises ``ConfigurationError`` for a bad checkpoint interval or a
+    checkpoint of another seed; load errors propagate as raised.
+    """
+    if checkpoint_every is not None:
+        if checkpoint_every < 1:
+            raise ConfigurationError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+        if checkpoint_path is None:
+            raise ConfigurationError("checkpoint_every requires checkpoint_path")
+    if resume_from is None:
+        return None
+    completed, run_seed, params = load_checkpoint(resume_from)
+    if run_seed != config.run_seed:
+        raise ConfigurationError(
+            f"checkpoint seed {run_seed} does not match config seed {config.run_seed}"
+        )
+    return completed, params
+
+
 def run_experiment(
     config: ExperimentConfig,
     resume_from: str | None = None,
@@ -321,20 +343,10 @@ def run_experiment(
         The records of the rounds executed by this call and the final global
         model.
     """
-    if checkpoint_every is not None:
-        if checkpoint_every < 1:
-            raise ConfigurationError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-        if checkpoint_path is None:
-            raise ConfigurationError("checkpoint_every requires checkpoint_path")
+    resumed = preflight(config, resume_from, checkpoint_path, checkpoint_every)
     state = new_experiment_state(config)
-    if resume_from is not None:
-        completed, run_seed, params = load_checkpoint(resume_from)
-        if run_seed != config.run_seed:
-            raise ConfigurationError(
-                f"checkpoint seed {run_seed} does not match config seed {config.run_seed}"
-            )
-        state.params = params
-        state.completed_rounds = completed
+    if resumed is not None:
+        state.completed_rounds, state.params = resumed
 
     for round_index in range(state.completed_rounds + 1, config.rounds + 1):
         record = run_round(state, round_index)

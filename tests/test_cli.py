@@ -2,8 +2,10 @@ import csv
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+import fedgsp.orchestrator
 from fedgsp.cli import main
 from fedgsp.config import (
     canonical_serialization,
@@ -11,7 +13,9 @@ from fedgsp.config import (
     parse_override,
     resolve,
 )
-from fedgsp.errors import ConfigurationError
+from fedgsp.errors import ConfigurationError, TrainingDivergedError
+from fedgsp.metrics import cpd
+from fedgsp.orchestrator import _build_plan, new_experiment_state
 
 BASE_CONFIG = """\
 # desk-scale smoke config
@@ -241,6 +245,33 @@ class TestCmdRun:
         assert code == 1
         assert "checkpoint_every must be >= 1" in capsys.readouterr().err
         assert not (out / "smoke" / "checkpoint.json").exists()
+        assert not (out / "smoke" / "manifest.json").exists()
+
+    def test_resume_with_other_seed_leaves_run_untouched(self, tmp_path, config_path):
+        out = tmp_path / "out"
+        run = ["run", "--config", str(config_path), "--out", str(out)]
+        assert main(run + ["--checkpoint-every", "2"]) == 0
+        run_dir = out / "smoke"
+        before = {name: (run_dir / name).read_bytes() for name in ("manifest.json", "rounds.csv")}
+        resume = ["--resume", str(run_dir / "checkpoint.json")]
+        code = main(run + ["--set", "seed=4", "--set", "rounds=4"] + resume)
+        assert code == 1
+        assert {name: (run_dir / name).read_bytes() for name in before} == before
+
+    def test_training_divergence_marks_manifest_failed(
+        self, tmp_path, config_path, monkeypatch
+    ):
+        def diverge(*args, **kwargs):
+            raise TrainingDivergedError("non-finite loss")
+
+        monkeypatch.setattr(fedgsp.orchestrator, "train_one_client", diverge)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+        manifest = json.loads((out / "smoke" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == "TrainingDivergedError: non-finite loss"
+        assert manifest["finished_at"] is not None
+        assert not (out / "smoke" / "rounds.csv").exists()
 
 
 class TestCmdAblation:
@@ -275,6 +306,21 @@ class TestCmdAblation:
         assert by_arm["fedavg"] == 8 * 7 // 2  # client pairs
         assert by_arm["naive_gsp"] == 2 * 1 // 2  # group pairs at M=2
         assert by_arm["fedgsp"] == 2 * 1 // 2
+
+        expected = []
+        for arm in arms:
+            config = json.loads((root / arm / "manifest.json").read_text())["config"]
+            state = new_experiment_state(resolve(config).experiment)
+            units = [
+                np.sum([state.clients[c].distribution.counts for c in group], axis=0)
+                for group in _build_plan(state, 1).groups
+            ]
+            expected += [
+                [arm, str(i), str(j), repr(cpd(units[i], units[j]))]
+                for i in range(len(units))
+                for j in range(i + 1, len(units))
+            ]
+        assert pairs[1:] == expected
 
 
 class TestCmdGrid:

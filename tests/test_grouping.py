@@ -11,13 +11,10 @@ from fedgsp.grouping import (
     clustering_objective,
     constrained_cluster,
     distribution_matrix,
-    group_distributions,
-    grouping_objective_z,
     inter_cluster_grouping,
     random_grouping,
     singleton_grouping,
 )
-from fedgsp.metrics import cpd
 
 # Assignment-step optimality is exact only up to the 1e-6 cost quantization
 # of the flow solver; distances here are O(1) or larger, so this slack is
@@ -232,39 +229,6 @@ class TestOtherStrategies:
         plan = singleton_grouping(5, 1)
         assert plan.groups == ((0,), (1,), (2,), (3,), (4,))
         assert plan.unassigned == ()
-
-
-class TestObjectiveZ:
-    def test_identical_groups_zero(self):
-        dists = [ClassDistribution(np.array([2, 2]))] * 4
-        plan = GroupingPlan(round_index=1, group_count=2, groups=((0, 1), (2, 3)), unassigned=())
-        assert grouping_objective_z(plan, dists) == 0.0
-
-    def test_two_groups_squared_l2(self):
-        dists = [ClassDistribution(np.array([4, 0])), ClassDistribution(np.array([0, 4]))]
-        plan = GroupingPlan(round_index=1, group_count=2, groups=((0,), (1,)), unassigned=())
-        assert grouping_objective_z(plan, dists, "squared_l2") == pytest.approx(32.0)
-
-    def test_matches_pairwise_oracle(self):
-        dists = counts_for(12, 4, seed=19)
-        plan = random_grouping(12, lambda r: 4, 1, seed=20)
-        overall = group_distributions(plan, dists)
-        expected_l2 = 0.0
-        expected_cpd = 0.0
-        for i in range(4):
-            for j in range(i + 1, 4):
-                diff = overall[i] - overall[j]
-                expected_l2 += float(diff @ diff)
-                expected_cpd += cpd(overall[i], overall[j])
-        assert grouping_objective_z(plan, dists) == pytest.approx(expected_l2, rel=1e-12)
-        assert grouping_objective_z(plan, dists, "cpd") == pytest.approx(
-            expected_cpd, rel=1e-12
-        )
-
-    def test_unknown_distance_rejected(self):
-        plan = singleton_grouping(2, 1)
-        with pytest.raises(ValueError):
-            grouping_objective_z(plan, counts_for(2, 3, seed=1), "manhattan")
 
 
 class TestPlanSerialization:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fedgsp.metrics import (
     cpd,
     d_comm,
     median_pairwise_cpd,
+    pairwise_cpd,
     t_comm,
     t_comp,
 )
@@ -98,6 +100,37 @@ class TestMedianPairwise:
     def test_requires_two(self):
         with pytest.raises(ValueError):
             median_pairwise_cpd([[1, 2]])
+
+    def test_memory_stays_flat_in_classes(self):
+        # A (G, G, C) difference tensor alone would take 320 MB here.
+        dists = np.random.default_rng(8).integers(1, 50, size=(2000, 10))
+        tracemalloc.start()
+        try:
+            median_pairwise_cpd(dists)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
+
+class TestPairwiseCpd:
+    def test_matches_scalar_double_loop_bitwise(self):
+        rng = np.random.default_rng(13)
+        for groups in (2, 3, 5, 17, 40):
+            for classes in (2, 3, 10):
+                dists = rng.integers(0, 30, size=(groups, classes))
+                dists[:, 0] += 1  # keep every total positive
+                config = CpdConfig(sigma=float(rng.uniform(0.3, 4.0)))
+                expected = [
+                    cpd(dists[i], dists[j], config)
+                    for i in range(groups)
+                    for j in range(i + 1, groups)
+                ]
+                assert pairwise_cpd(dists, config).tolist() == expected
+
+    def test_empty_below_two(self):
+        assert pairwise_cpd([]).shape == (0,)
+        assert pairwise_cpd([[1, 2]]).shape == (0,)
 
 
 def full_scale_params(**kwargs):
