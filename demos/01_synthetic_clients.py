@@ -37,7 +37,7 @@ def main():
         )
         clients, test = generate_task(spec)
         total = sum(c.distribution.total() for c in clients)
-        spread = median_pairwise_cpd([c.distribution for c in clients])
+        spread = median_pairwise_cpd([c.distribution.counts for c in clients])
         print(
             f"\nconcentration={concentration:<5}: total samples={total} "
             f"(= K*n = {20 * 60}), median pairwise CPD={spread:.4f}"

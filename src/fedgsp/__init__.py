@@ -7,7 +7,6 @@ from .datagen import (
     ClientDataset,
     SyntheticTaskSpec,
     TestSet,
-    class_distribution,
     generate_task,
 )
 from .grouping import (
@@ -17,7 +16,7 @@ from .grouping import (
     inter_cluster_grouping,
     random_grouping,
 )
-from .metrics import CostModelParams, CpdConfig, cpd, d_comm, median_pairwise_cpd, t_comm, t_comp
+from .metrics import CostModelParams, cpd, d_comm, median_pairwise_cpd, t_comm, t_comp
 from .orchestrator import (
     ExperimentConfig,
     GrowthFunction,
@@ -32,7 +31,6 @@ __all__ = [
     "ClassDistribution",
     "ClientDataset",
     "CostModelParams",
-    "CpdConfig",
     "ExperimentConfig",
     "GroupCentroidReport",
     "GroupingPlan",
@@ -44,7 +42,6 @@ __all__ = [
     "SgdConfig",
     "SyntheticTaskSpec",
     "TestSet",
-    "class_distribution",
     "cpd",
     "d_comm",
     "evaluate",

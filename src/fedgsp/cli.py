@@ -196,7 +196,7 @@ def _first_round_pair_cpds(resolved: ResolvedRun):
     """(first, second, cpd) rows for the round-1 grouping of this arm."""
     state = new_experiment_state(resolved.experiment)
     plan = _build_plan(state, 1)
-    units = group_distributions(plan, [c.distribution for c in state.clients])
+    units = group_distributions(plan, state.counts)
     first, second = np.triu_indices(len(units), k=1)
     return zip(first.tolist(), second.tolist(), pairwise_cpd(units).tolist())
 

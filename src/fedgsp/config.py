@@ -74,7 +74,6 @@ class ResolvedRun:
     experiment: ExperimentConfig
     target_accuracy: float
     snapshot: dict[str, str]
-    canonical: str
     content_hash: str
     seed: int
 
@@ -197,13 +196,11 @@ def resolve(settings: dict[str, str], overrides: dict[str, str] | None = None) -
     )
 
     snapshot = {key: _format_value(values[key]) for key in sorted(_SCHEMA)}
-    canonical = canonical_serialization(snapshot)
-    content_hash = hashlib.sha256(canonical.encode()).hexdigest()
+    content_hash = hashlib.sha256(canonical_serialization(snapshot).encode()).hexdigest()
     return ResolvedRun(
         experiment=experiment,
         target_accuracy=values["target_accuracy"],
         snapshot=snapshot,
-        canonical=canonical,
         content_hash=content_hash,
         seed=seed,
     )

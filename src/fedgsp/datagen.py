@@ -217,8 +217,3 @@ def generate_task(spec: SyntheticTaskSpec) -> tuple[list[ClientDataset], TestSet
         (test_labels.size, spec.feature_dim)
     )
     return clients, TestSet(features=test_features, labels=test_labels)
-
-
-def class_distribution(dataset: ClientDataset) -> ClassDistribution:
-    """Tally the dataset's labels (pure; ignores the stored distribution)."""
-    return ClassDistribution.from_labels(dataset.labels, len(dataset.distribution.counts))

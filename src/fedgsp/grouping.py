@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class ClusterState:
     cluster_count: int
     centroids: np.ndarray
     assignment: np.ndarray
-    objective: float
 
 
 @dataclass(frozen=True)
@@ -72,18 +71,6 @@ class GroupingPlan:
                 "groups": [list(g) for g in self.groups],
                 "unassigned": list(self.unassigned),
             }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GroupingPlan":
-        payload = json.loads(text)
-        if payload.get("format_version") != PLAN_FORMAT_VERSION:
-            raise ValueError(f"unsupported plan format: {payload.get('format_version')}")
-        return cls(
-            round_index=payload["round"],
-            group_count=len(payload["groups"]),
-            groups=tuple(tuple(g) for g in payload["groups"]),
-            unassigned=tuple(payload["unassigned"]),
         )
 
 
@@ -123,13 +110,6 @@ class IcgResult:
     objective_history: tuple[float, ...]
 
 
-def distribution_matrix(distributions: Sequence) -> np.ndarray:
-    """Stack ClassDistribution-like objects (or raw vectors) into a float matrix."""
-    return np.stack(
-        [np.asarray(getattr(d, "counts", d), dtype=float) for d in distributions]
-    )
-
-
 def clustering_objective(
     points: np.ndarray, centroids: np.ndarray, assignment: np.ndarray
 ) -> float:
@@ -138,23 +118,21 @@ def clustering_objective(
     return 0.5 * float(np.sum(diff * diff))
 
 
-def cluster_assignment(points, centroids) -> np.ndarray:
+def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Optimal equal-size assignment of points to the given centroids.
 
     Solved exactly as a min-cost flow on the bipartite graph point -> cluster
     with arc cost ``round(0.5 * ||point - centroid||^2 * 1e6)`` (half-to-even),
     unit supplies and per-cluster demand ``len(points) / len(centroids)``.
     """
-    pts = points if isinstance(points, np.ndarray) else distribution_matrix(points)
-    cents = np.asarray(centroids, dtype=float)
-    num_points, num_clusters = len(pts), len(cents)
+    num_points, num_clusters = len(points), len(centroids)
     if num_points % num_clusters != 0:
         raise ValueError(
             f"{num_points} points cannot fill {num_clusters} equal clusters"
         )
     quota = num_points // num_clusters
 
-    diff = pts[:, None, :] - cents[None, :, :]
+    diff = points[:, None, :] - centroids[None, :, :]
     cost = 0.5 * np.sum(diff * diff, axis=-1)
     scaled = np.rint(cost * COST_SCALE).astype(np.int64)
 
@@ -173,21 +151,15 @@ def cluster_assignment(points, centroids) -> np.ndarray:
     )
     if solution.status != mcf.STATUS_OPTIMAL:
         raise RuntimeError("balanced assignment network must be feasible")
-
-    assignment = np.empty(num_points, dtype=np.int64)
-    flows = solution.flows.reshape(num_points, num_clusters)
-    for k in range(num_points):
-        assignment[k] = int(np.argmax(flows[k]))
-    return assignment
+    return solution.flows.reshape(num_points, num_clusters).argmax(axis=1)
 
 
-def cluster_update(points, assignment: np.ndarray) -> np.ndarray:
+def cluster_update(points: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     """Move each centroid to the mean of its members."""
-    pts = points if isinstance(points, np.ndarray) else distribution_matrix(points)
     num_clusters = int(assignment.max()) + 1
-    centroids = np.empty((num_clusters, pts.shape[1]))
+    centroids = np.empty((num_clusters, points.shape[1]))
     for l in range(num_clusters):
-        members = pts[assignment == l]
+        members = points[assignment == l]
         if len(members) == 0:
             raise RuntimeError(f"cluster {l} is empty despite the balance constraint")
         centroids[l] = members.mean(axis=0)
@@ -226,10 +198,7 @@ def constrained_cluster(
         if displacement < tolerance:
             break
     state = ClusterState(
-        cluster_count=cluster_count,
-        centroids=centroids,
-        assignment=assignment,
-        objective=history[-1],
+        cluster_count=cluster_count, centroids=centroids, assignment=assignment
     )
     return state, tuple(history)
 
@@ -259,27 +228,25 @@ def _centroid_report(
     )
 
 
-def _resolve_group_count(f: Callable[[int], int], round_index: int, num_clients: int) -> int:
-    requested = int(f(round_index))
-    if requested < 1:
-        raise ValueError(f"group count must be >= 1, got {requested}")
-    # More groups than clients degenerates to one client per group.
-    return min(requested, num_clients)
+def _check_group_count(group_count: int, num_clients: int) -> None:
+    if not 1 <= group_count <= num_clients:
+        raise ValueError(
+            f"group count must be in [1, {num_clients}], got {group_count}"
+        )
 
 
 def inter_cluster_grouping(
-    clients: Sequence,
-    f: Callable[[int], int],
+    clients,
+    group_count: int,
     round_index: int,
     seed: int,
 ) -> IcgResult:
     """Build the round's groups by clustering distributions, then drawing across clusters.
 
     Args:
-        clients: One ClassDistribution (or count vector) per client; the
-            client id is the position in this sequence.
-        f: Group-count schedule; ``f(round_index)`` groups are requested and
-            capped at the client count.
+        clients: (K, C) array-like of per-client class counts; the client
+            id is the row index.
+        group_count: Number of groups M, in [1, K].
         round_index: Current round (>= 1); folded into every sub-stream.
         seed: Grouping seed for the run.
 
@@ -288,8 +255,9 @@ def inter_cluster_grouping(
         the final cluster state, and the objective history of the alternating
         optimization.
     """
-    num_clients = len(clients)
-    group_count = _resolve_group_count(f, round_index, num_clients)
+    counts = np.asarray(clients, dtype=float)
+    num_clients = len(counts)
+    _check_group_count(group_count, num_clients)
     group_size = num_clients // group_count  # L: cluster count == group size
     quota = num_clients // group_size  # members per cluster
     sampled_count = group_size * quota
@@ -301,7 +269,7 @@ def inter_cluster_grouping(
     participants = np.sort(participants)
     participant_rows = {int(c): i for i, c in enumerate(participants)}
 
-    pts = distribution_matrix([clients[c] for c in participants])
+    pts = counts[participants]
     state, history = constrained_cluster(pts, group_size, icg_seed)
 
     groups: list[list[int]] = [[] for _ in range(group_count)]
@@ -329,12 +297,12 @@ def inter_cluster_grouping(
 
 def random_grouping(
     num_clients: int,
-    f: Callable[[int], int],
+    group_count: int,
     round_index: int,
     seed: int,
 ) -> GroupingPlan:
     """Seeded random balanced grouping with the same shape rules as ICG."""
-    group_count = _resolve_group_count(f, round_index, num_clients)
+    _check_group_count(group_count, num_clients)
     group_size = num_clients // group_count
     drawn = generator(stream_id(seed, "random-grouping", round_index), "draw").choice(
         num_clients, size=group_count * group_size, replace=False
@@ -363,8 +331,7 @@ def singleton_grouping(num_clients: int, round_index: int) -> GroupingPlan:
     )
 
 
-def group_distributions(plan: GroupingPlan, distributions: Sequence) -> np.ndarray:
-    """Per-group overall class counts (the sum of member distributions)."""
-    matrix = distribution_matrix(distributions)
-    return np.stack([matrix[list(group)].sum(axis=0) for group in plan.groups])
+def group_distributions(plan: GroupingPlan, counts: np.ndarray) -> np.ndarray:
+    """Per-group overall class counts: the sums of the members' rows of ``counts``."""
+    return np.stack([counts[list(group)].sum(axis=0) for group in plan.groups])
 

@@ -1,11 +1,11 @@
 """Divergence and cost metrics.
 
 CPD (class probability distance) is the squared maximum mean discrepancy
-between two normalized class distributions under a Gaussian RBF kernel with
-classes embedded one-hot. Because the embedding is one-hot, the full kernel
-double sum collapses to
+between two normalized class distributions under a unit-bandwidth Gaussian
+RBF kernel with classes embedded one-hot. Because the embedding is one-hot,
+the full kernel double sum collapses to
 
-    (1 - exp(-1 / sigma**2)) * ||P - Q||_2**2
+    (1 - exp(-1)) * ||P - Q||_2**2
 
 which is what this module evaluates; the tests check it against the explicit
 double sum.
@@ -24,16 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class CpdConfig:
-    """Gaussian kernel bandwidth for CPD; the class embedding is fixed one-hot."""
-
-    sigma: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+# 1 - exp(-||e_c - e_d||^2 / (2 sigma^2)) for distinct one-hot classes, sigma = 1.
+_KERNEL_SCALE = 1.0 - math.exp(-1.0)
 
 
 @dataclass(frozen=True)
@@ -74,19 +66,7 @@ class CostModelParams:
                 raise ValueError(f"{name} must be strictly positive, got {getattr(self, name)}")
 
 
-def _normalized(counts) -> np.ndarray:
-    vec = np.asarray(getattr(counts, "counts", counts), dtype=float)
-    total = vec.sum()
-    if total <= 0.0:
-        raise ValueError("class distribution has zero total")
-    return vec / total
-
-
-def _kernel_scale(config: CpdConfig) -> float:
-    return 1.0 - math.exp(-1.0 / config.sigma**2)
-
-
-def _pair_squared_distances(distributions: Sequence) -> np.ndarray:
+def _pair_squared_distances(distributions) -> np.ndarray:
     """Squared L2 distances between normalized rows, every pair i < j in row-major order.
 
     Works one row at a time, so memory grows with the G*(G-1)/2 results, not
@@ -94,38 +74,44 @@ def _pair_squared_distances(distributions: Sequence) -> np.ndarray:
     """
     if len(distributions) < 2:
         return np.empty(0)
-    rows = np.stack([_normalized(d) for d in distributions])
+    counts = np.asarray(distributions, dtype=float)
+    totals = counts.sum(axis=1, keepdims=True)
+    if (totals <= 0.0).any():
+        raise ValueError("class distribution has zero total")
+    rows = counts / totals
     return np.concatenate(
         [((rows[i + 1 :] - rows[i]) ** 2).sum(axis=1) for i in range(len(rows) - 1)]
     )
 
 
-def cpd(first, second, config: CpdConfig = CpdConfig()) -> float:
+def cpd(first, second) -> float:
     """Squared-MMD distance between two class distributions.
 
     Args:
-        first, second: ``ClassDistribution`` instances or count vectors with
-            positive totals (lengths must match).
-        config: Kernel bandwidth.
+        first, second: Class-count vectors with positive totals (lengths
+            must match).
 
     Returns:
         A non-negative float; 0 iff the normalized distributions coincide.
     """
-    return float(pairwise_cpd([first, second], config)[0])
+    return float(pairwise_cpd([first, second])[0])
 
 
-def pairwise_cpd(distributions: Sequence, config: CpdConfig = CpdConfig()) -> np.ndarray:
-    """CPD of every pair i < j, in row-major order; empty for fewer than 2 distributions."""
-    return _kernel_scale(config) * _pair_squared_distances(distributions)
+def pairwise_cpd(distributions) -> np.ndarray:
+    """CPD of every pair of rows i < j of a (G, C) count array, in row-major order.
+
+    Empty for fewer than 2 rows.
+    """
+    return _KERNEL_SCALE * _pair_squared_distances(distributions)
 
 
-def median_pairwise_cpd(distributions: Sequence, config: CpdConfig = CpdConfig()) -> float:
-    """Median CPD over all unordered pairs of the given distributions."""
+def median_pairwise_cpd(distributions) -> float:
+    """Median CPD over all unordered pairs of rows of a (G, C) count array."""
     if len(distributions) < 2:
         raise ValueError("need at least 2 distributions")
     # Median of the raw distances first: scaling each pair before averaging
     # the middle two (even pair counts) can change the last bit.
-    return _kernel_scale(config) * float(np.median(_pair_squared_distances(distributions)))
+    return _KERNEL_SCALE * float(np.median(_pair_squared_distances(distributions)))
 
 
 def t_comp(group_counts: Sequence[int], params: CostModelParams) -> float:

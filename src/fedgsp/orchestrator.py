@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,13 +124,20 @@ class ExperimentConfig:
             raise ConfigurationError("model feature_dim disagrees with the task")
         if self.model.num_classes != self.task.num_classes:
             raise ConfigurationError("model num_classes disagrees with the task")
+        costed = {
+            "samples_per_client": self.task.samples_per_client,
+            "num_clients": self.task.num_clients,
+            "local_epochs": self.sgd.local_epochs,
+            "sampling_rate": self.kappa,
+        }
         if self.cost is None:
-            self.cost = CostModelParams(
-                samples_per_client=self.task.samples_per_client,
-                num_clients=self.task.num_clients,
-                local_epochs=self.sgd.local_epochs,
-                sampling_rate=self.kappa,
-            )
+            self.cost = CostModelParams(**costed)
+        for name, value in costed.items():
+            if getattr(self.cost, name) != value:
+                raise ConfigurationError(
+                    f"cost {name} ({getattr(self.cost, name)}) disagrees with the "
+                    f"experiment ({value})"
+                )
 
 
 @dataclass(frozen=True)
@@ -153,6 +161,8 @@ class ExperimentState:
 
     config: ExperimentConfig
     clients: list[ClientDataset]
+    # (K, C) class counts, row k = client k; what grouping and CPD read.
+    counts: np.ndarray
     test_set: TestSet
     params: ModelParams
     completed_rounds: int = 0
@@ -167,13 +177,14 @@ def new_experiment_state(config: ExperimentConfig) -> ExperimentState:
     return ExperimentState(
         config=config,
         clients=clients,
+        counts=np.stack([c.distribution.counts for c in clients]),
         test_set=test_set,
         params=init_model(config.model),
     )
 
 
 def group_count_for_round(config: ExperimentConfig, round_index: int) -> int:
-    """The round's group count M, capped at the client count."""
+    """The round's group count M, capped at the client count (grouping rejects M > K)."""
     num_clients = config.task.num_clients
     if config.algorithm == "fedgsp":
         return min(growth_eval(config.growth, round_index), num_clients)
@@ -185,21 +196,11 @@ def group_count_for_round(config: ExperimentConfig, round_index: int) -> int:
 def _build_plan(state: ExperimentState, round_index: int) -> GroupingPlan:
     config = state.config
     count = group_count_for_round(config, round_index)
+    seed = stream_id(config.run_seed, "grouping")
     if config.algorithm in ("fedgsp", "naive_gsp_icg"):
-        result = inter_cluster_grouping(
-            [c.distribution for c in state.clients],
-            lambda _r: count,
-            round_index,
-            stream_id(config.run_seed, "grouping"),
-        )
-        return result.plan
+        return inter_cluster_grouping(state.counts, count, round_index, seed).plan
     if config.algorithm == "naive_gsp":
-        return random_grouping(
-            config.task.num_clients,
-            lambda _r: count,
-            round_index,
-            stream_id(config.run_seed, "grouping"),
-        )
+        return random_grouping(config.task.num_clients, count, round_index, seed)
     return singleton_grouping(config.task.num_clients, round_index)
 
 
@@ -239,8 +240,7 @@ def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
 
     accuracy, loss = evaluate(state.params, state.test_set)
     if plan.group_count >= 2:
-        overall = group_distributions(plan, [c.distribution for c in state.clients])
-        median_cpd = metrics.median_pairwise_cpd(overall)
+        median_cpd = metrics.median_pairwise_cpd(group_distributions(plan, state.counts))
     else:
         median_cpd = 0.0
 
@@ -267,7 +267,9 @@ def save_checkpoint(state: ExperimentState, path: str) -> None:
     """Versioned JSON dump of (round, global params, PRNG cursor).
 
     Sub-streams are derived statelessly from ``(run_seed, purpose, round)``,
-    so the seed plus the next round index is a complete PRNG cursor.
+    so the seed plus the next round index is a complete PRNG cursor. The dump
+    goes to a temporary file that then replaces ``path``, so a failed write
+    leaves the previous checkpoint intact.
     """
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
@@ -278,8 +280,14 @@ def save_checkpoint(state: ExperimentState, path: str) -> None:
             "values": state.params.values.tolist(),
         },
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
+    temporary = f"{path}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        os.replace(temporary, path)
+    finally:
+        if os.path.exists(temporary):
+            os.remove(temporary)
 
 
 def load_checkpoint(path: str) -> tuple[int, int, ModelParams]:
@@ -304,8 +312,8 @@ def preflight(
     """Check the run arguments before anything runs or is written.
 
     Returns the checkpoint's (completed rounds, params) when resuming, else
-    ``None``. Raises ``ConfigurationError`` for a bad checkpoint interval or a
-    checkpoint of another seed; load errors propagate as raised.
+    ``None``. Raises ``ConfigurationError`` for a bad checkpoint interval, a
+    checkpoint that cannot be read, or a checkpoint of another seed.
     """
     if checkpoint_every is not None:
         if checkpoint_every < 1:
@@ -314,7 +322,12 @@ def preflight(
             raise ConfigurationError("checkpoint_every requires checkpoint_path")
     if resume_from is None:
         return None
-    completed, run_seed, params = load_checkpoint(resume_from)
+    try:
+        completed, run_seed, params = load_checkpoint(resume_from)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigurationError(
+            f"cannot load checkpoint {resume_from}: {type(exc).__name__}: {exc}"
+        ) from None
     if run_seed != config.run_seed:
         raise ConfigurationError(
             f"checkpoint seed {run_seed} does not match config seed {config.run_seed}"

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from fedgsp.cli import main as cli_main
-from fedgsp.datagen import ClassDistribution, SyntheticTaskSpec, generate_task
+from fedgsp.datagen import SyntheticTaskSpec, generate_task
 from fedgsp.grouping import (
     group_distributions,
     inter_cluster_grouping,
@@ -106,10 +106,7 @@ def clustering_instances():
             num_classes = int(rng.integers(3, 11))
             counts = rng.integers(0, 30, size=(num_clients, num_classes))
             counts[:, 0] += 1
-            clients = [ClassDistribution(row) for row in counts]
-            result = inter_cluster_grouping(
-                clients, lambda r: group_count, 1, seed=index
-            )
+            result = inter_cluster_grouping(counts, group_count, 1, seed=index)
             batch.append((num_clients, group_count, result))
         _INSTANCES = batch
     return _INSTANCES
@@ -224,9 +221,9 @@ def test_c04_cpd_reduction():
             seed=seed,
         )
         clients, _ = generate_task(task)
-        dists = [c.distribution for c in clients]
-        clustered = inter_cluster_grouping(dists, lambda r: group_count, 1, seed=seed)
-        random_plan = random_grouping(60, lambda r: group_count, 1, seed=seed)
+        dists = np.stack([c.distribution.counts for c in clients])
+        clustered = inter_cluster_grouping(dists, group_count, 1, seed=seed)
+        random_plan = random_grouping(60, group_count, 1, seed=seed)
         clustered_median = median_pairwise_cpd(
             group_distributions(clustered.plan, dists)
         )

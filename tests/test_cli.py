@@ -247,6 +247,21 @@ class TestCmdRun:
         assert not (out / "smoke" / "checkpoint.json").exists()
         assert not (out / "smoke" / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "contents", [None, '{"format_version": 1}'], ids=["missing", "no-params"]
+    )
+    def test_unloadable_checkpoint_is_config_error(
+        self, tmp_path, config_path, capsys, contents
+    ):
+        checkpoint = tmp_path / "checkpoint.json"
+        if contents is not None:
+            checkpoint.write_text(contents)
+        out = tmp_path / "out"
+        run = ["run", "--config", str(config_path), "--out", str(out)]
+        assert main(run + ["--resume", str(checkpoint)]) == 1
+        assert f"cannot load checkpoint {checkpoint}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_with_other_seed_leaves_run_untouched(self, tmp_path, config_path):
         out = tmp_path / "out"
         run = ["run", "--config", str(config_path), "--out", str(out)]

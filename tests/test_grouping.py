@@ -1,16 +1,15 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from fedgsp.datagen import ClassDistribution
 from fedgsp.grouping import (
     GroupingPlan,
     cluster_assignment,
     cluster_update,
     clustering_objective,
     constrained_cluster,
-    distribution_matrix,
     inter_cluster_grouping,
     random_grouping,
     singleton_grouping,
@@ -78,11 +77,6 @@ class TestClusterAssignment:
         with pytest.raises(ValueError):
             cluster_assignment(np.zeros((5, 2)), np.zeros((2, 2)))
 
-    def test_accepts_class_distributions(self):
-        points = [ClassDistribution(np.array([4, 0])), ClassDistribution(np.array([0, 4]))]
-        assignment = cluster_assignment(points, np.array([[4.0, 0.0], [0.0, 4.0]]))
-        assert assignment.tolist() == [0, 1]
-
 
 class TestClusterUpdate:
     def test_single_member(self):
@@ -128,14 +122,14 @@ def counts_for(num_clients, num_classes, seed, low=0, high=30):
     rng = np.random.default_rng(seed)
     counts = rng.integers(low, high, size=(num_clients, num_classes))
     counts[:, 0] += 1  # every client owns at least one sample
-    return [ClassDistribution(row) for row in counts]
+    return counts
 
 
 class TestInterClusterGrouping:
     def test_full_scale_shape(self):
         # K=364 with 52 groups: 7 clusters of 52, hence 52 groups of 7.
         clients = counts_for(364, 6, seed=0)
-        result = inter_cluster_grouping(clients, lambda r: 52, 1, seed=1)
+        result = inter_cluster_grouping(clients, 52, 1, seed=1)
         plan = result.plan
         assert plan.group_count == 52
         assert all(len(group) == 7 for group in plan.groups)
@@ -145,24 +139,28 @@ class TestInterClusterGrouping:
 
     def test_single_group_degenerates(self):
         clients = counts_for(9, 4, seed=3)
-        result = inter_cluster_grouping(clients, lambda r: 1, 1, seed=4)
+        result = inter_cluster_grouping(clients, 1, 1, seed=4)
         assert result.plan.group_count == 1
         assert sorted(result.plan.groups[0]) == list(range(9))
         # One client per cluster: the loop converges after one alternation.
         assert len(result.objective_history) == 2
 
     def test_group_count_capped_at_clients(self):
+        # M = K is the largest valid count (one client per group); the caller
+        # caps the schedule, so M = K + 1 is an error here.
         clients = counts_for(6, 3, seed=5)
-        result = inter_cluster_grouping(clients, lambda r: 40, 1, seed=6)
+        result = inter_cluster_grouping(clients, 6, 1, seed=6)
         assert result.plan.group_count == 6
         assert all(len(group) == 1 for group in result.plan.groups)
+        with pytest.raises(ValueError):
+            inter_cluster_grouping(clients, 7, 1, seed=6)
 
     def test_centroid_error_example(self):
         # K=12, M=4, 3 classes: every group's squared centroid error stays
         # within the reported bound sum(cluster_spreads) / L, which holds for
         # every deal by Cauchy-Schwarz.
         clients = counts_for(12, 3, seed=7)
-        result = inter_cluster_grouping(clients, lambda r: 4, 1, seed=1)
+        result = inter_cluster_grouping(clients, 4, 1, seed=1)
         report = result.report
         assert result.cluster_state.cluster_count == 3
         assert np.all(report.squared_errors <= report.error_bound + 1e-9)
@@ -176,7 +174,7 @@ class TestInterClusterGrouping:
             num_clients = int(rng.integers(8, 40))
             groups = int(rng.integers(1, 7))
             clients = counts_for(num_clients, 5, seed=100 + trial)
-            result = inter_cluster_grouping(clients, lambda r: groups, 1, seed=trial)
+            result = inter_cluster_grouping(clients, groups, 1, seed=trial)
             report = result.report
             assert np.all(report.squared_errors <= report.error_bound + 1e-9)
 
@@ -184,14 +182,14 @@ class TestInterClusterGrouping:
         # Groups consume every cluster member, so the mean of group centroids
         # must coincide with the global centroid.
         clients = counts_for(24, 5, seed=9)
-        result = inter_cluster_grouping(clients, lambda r: 6, 1, seed=10)
+        result = inter_cluster_grouping(clients, 6, 1, seed=10)
         assert result.plan.unassigned == ()
         mean_of_groups = result.report.group_centroids.mean(axis=0)
         assert np.allclose(mean_of_groups, result.report.global_centroid, atol=1e-10)
 
     def test_groups_disjoint_and_balanced(self):
         clients = counts_for(37, 4, seed=11)
-        result = inter_cluster_grouping(clients, lambda r: 5, 1, seed=12)
+        result = inter_cluster_grouping(clients, 5, 1, seed=12)
         plan = result.plan
         group_size = 37 // 5  # 7
         assert all(len(group) == group_size for group in plan.groups)
@@ -201,29 +199,34 @@ class TestInterClusterGrouping:
 
     def test_seeded_determinism(self):
         clients = counts_for(20, 4, seed=13)
-        a = inter_cluster_grouping(clients, lambda r: 4, 3, seed=14)
-        b = inter_cluster_grouping(clients, lambda r: 4, 3, seed=14)
+        a = inter_cluster_grouping(clients, 4, 3, seed=14)
+        b = inter_cluster_grouping(clients, 4, 3, seed=14)
         assert a.plan == b.plan
-        c = inter_cluster_grouping(clients, lambda r: 4, 4, seed=14)
+        c = inter_cluster_grouping(clients, 4, 4, seed=14)
         assert c.plan != a.plan  # round index feeds the sub-streams
 
     def test_rejects_nonpositive_group_count(self):
         clients = counts_for(6, 3, seed=15)
         with pytest.raises(ValueError):
-            inter_cluster_grouping(clients, lambda r: 0, 1, seed=16)
+            inter_cluster_grouping(clients, 0, 1, seed=16)
 
 
 class TestOtherStrategies:
     def test_random_grouping_shape(self):
-        plan = random_grouping(17, lambda r: 4, 1, seed=21)
+        plan = random_grouping(17, 4, 1, seed=21)
         assert plan.group_count == 4
         assert all(len(group) == 4 for group in plan.groups)
         assert len(plan.unassigned) == 1
 
     def test_random_grouping_deterministic(self):
-        assert random_grouping(17, lambda r: 4, 2, seed=3) == random_grouping(
-            17, lambda r: 4, 2, seed=3
+        assert random_grouping(17, 4, 2, seed=3) == random_grouping(
+            17, 4, 2, seed=3
         )
+
+    def test_random_grouping_rejects_out_of_range_count(self):
+        for group_count in (0, 18):
+            with pytest.raises(ValueError):
+                random_grouping(17, group_count, 1, seed=21)
 
     def test_singleton_grouping(self):
         plan = singleton_grouping(5, 1)
@@ -236,12 +239,13 @@ class TestPlanSerialization:
         plan = GroupingPlan(
             round_index=3, group_count=2, groups=((4, 1), (0, 2)), unassigned=(3,)
         )
-        assert GroupingPlan.from_json(plan.to_json()) == plan
+        assert json.loads(plan.to_json()) == {
+            "format_version": 1,
+            "round": 3,
+            "groups": [[4, 1], [0, 2]],
+            "unassigned": [3],
+        }
 
     def test_duplicate_member_rejected(self):
         with pytest.raises(ValueError):
             GroupingPlan(round_index=1, group_count=2, groups=((0, 1), (1, 2)), unassigned=())
-
-    def test_distribution_matrix_accepts_raw_vectors(self):
-        matrix = distribution_matrix([[1, 2], np.array([3, 4])])
-        assert matrix.tolist() == [[1.0, 2.0], [3.0, 4.0]]

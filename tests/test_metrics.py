@@ -6,10 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedgsp.datagen import ClassDistribution
 from fedgsp.metrics import (
     CostModelParams,
-    CpdConfig,
     cpd,
     d_comm,
     median_pairwise_cpd,
@@ -44,14 +42,13 @@ class TestCpd:
         assert expected == pytest.approx(1.264241, abs=5e-7)
 
     @settings(max_examples=60, deadline=None)
-    @given(a=counts, b=counts, sigma=st.floats(0.3, 4.0))
-    def test_matches_double_sum_oracle(self, a, b, sigma):
+    @given(a=counts, b=counts)
+    def test_matches_double_sum_oracle(self, a, b):
         if sum(a) == 0 or sum(b) == 0 or len(a) != len(b):
             return
         p = np.array(a, dtype=float) / sum(a)
         q = np.array(b, dtype=float) / sum(b)
-        value = cpd(a, b, CpdConfig(sigma=sigma))
-        assert value == pytest.approx(mmd_double_sum(p, q, sigma), abs=1e-12)
+        assert cpd(a, b) == pytest.approx(mmd_double_sum(p, q, 1.0), abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(a=counts, b=counts, scale=st.integers(1, 9))
@@ -62,11 +59,6 @@ class TestCpd:
         assert forward >= 0.0
         assert forward == pytest.approx(cpd(b, a), abs=1e-15)
         assert forward == pytest.approx(cpd([scale * x for x in a], b), abs=1e-12)
-
-    def test_accepts_class_distribution_objects(self):
-        a = ClassDistribution(np.array([1, 0]))
-        b = ClassDistribution(np.array([0, 1]))
-        assert cpd(a, b) == pytest.approx((1 - math.exp(-1)) * 2, abs=1e-12)
 
     def test_zero_total_rejected(self):
         with pytest.raises(ValueError):
@@ -120,13 +112,12 @@ class TestPairwiseCpd:
             for classes in (2, 3, 10):
                 dists = rng.integers(0, 30, size=(groups, classes))
                 dists[:, 0] += 1  # keep every total positive
-                config = CpdConfig(sigma=float(rng.uniform(0.3, 4.0)))
                 expected = [
-                    cpd(dists[i], dists[j], config)
+                    cpd(dists[i], dists[j])
                     for i in range(groups)
                     for j in range(i + 1, groups)
                 ]
-                assert pairwise_cpd(dists, config).tolist() == expected
+                assert pairwise_cpd(dists).tolist() == expected
 
     def test_empty_below_two(self):
         assert pairwise_cpd([]).shape == (0,)
@@ -191,7 +182,3 @@ class TestCostModels:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             CostModelParams(samples_per_client=0, num_clients=10)
-
-    def test_rejects_bad_sigma(self):
-        with pytest.raises(ValueError):
-            CpdConfig(sigma=0.0)

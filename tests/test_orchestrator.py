@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from fedgsp.datagen import SyntheticTaskSpec
 from fedgsp.errors import ConfigurationError
+from fedgsp.metrics import CostModelParams
 from fedgsp.orchestrator import (
     GROWTH_CAP,
     ExperimentConfig,
@@ -117,6 +119,18 @@ class TestConfigValidation:
         assert config.cost.num_clients == 10
         assert config.cost.samples_per_client == 20
         assert config.cost.sampling_rate == 0.5
+
+    def test_mismatched_cost_model_rejected(self):
+        matching = dict(samples_per_client=20, num_clients=10, local_epochs=1, sampling_rate=0.5)
+        assert make_config(cost=CostModelParams(**matching)).cost == CostModelParams(**matching)
+        for name, value in (
+            ("samples_per_client", 7),
+            ("num_clients", 1),
+            ("local_epochs", 3),
+            ("sampling_rate", 1.0),
+        ):
+            with pytest.raises(ConfigurationError, match=name):
+                make_config(cost=CostModelParams(**{**matching, name: value}))
 
 
 class TestGroupCounts:
@@ -281,6 +295,26 @@ class TestRunExperiment:
         path.write_text('{"format_version": 99, "round": 1}')
         with pytest.raises(ValueError, match="unsupported checkpoint format"):
             load_checkpoint(str(path))
+
+    def test_failed_checkpoint_write_keeps_previous(self, tmp_path, monkeypatch):
+        state = new_experiment_state(make_config(rounds=2))
+        run_round(state, 1)
+        path = tmp_path / "ck.json"
+        save_checkpoint(state, str(path))
+        before = path.read_bytes()
+        run_round(state, 2)
+
+        def torn_dump(payload, handle):
+            handle.write('{"format_version": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", torn_dump)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(state, str(path))
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert load_checkpoint(str(path))[0] == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
 
     def test_checkpoint_seed_mismatch_rejected(self, tmp_path):
         config = make_config(rounds=2)
