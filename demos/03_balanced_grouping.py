@@ -29,8 +29,7 @@ def main():
         concentration=0.3,
         seed=3,
     )
-    clients, _ = generate_task(spec)
-    counts = np.stack([c.distribution.counts for c in clients])  # (K, C)
+    _, counts, _ = generate_task(spec)  # counts: (K, C) class counts
     groups_wanted = 6
 
     print(f"=== Clustered grouping: K=60 clients into M={groups_wanted} groups ===")

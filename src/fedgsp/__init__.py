@@ -2,13 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .datagen import (
-    ClassDistribution,
-    ClientDataset,
-    SyntheticTaskSpec,
-    TestSet,
-    generate_task,
-)
+from .datagen import Dataset, SyntheticTaskSpec, generate_task
 from .grouping import (
     GroupCentroidReport,
     GroupingPlan,
@@ -28,9 +22,8 @@ from .orchestrator import (
 from .trainer import ModelParams, ModelSpec, SgdConfig, evaluate, init_model, train_one_client
 
 __all__ = [
-    "ClassDistribution",
-    "ClientDataset",
     "CostModelParams",
+    "Dataset",
     "ExperimentConfig",
     "GroupCentroidReport",
     "GroupingPlan",
@@ -41,7 +34,6 @@ __all__ = [
     "RoundRecord",
     "SgdConfig",
     "SyntheticTaskSpec",
-    "TestSet",
     "cpd",
     "d_comm",
     "evaluate",

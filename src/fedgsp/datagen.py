@@ -78,54 +78,12 @@ class SyntheticTaskSpec:
 
 
 @dataclass(frozen=True)
-class ClassDistribution:
-    """Per-class sample counts of one client (or one group, when summed)."""
+class Dataset:
+    """Features and labels of one sample set.
 
-    counts: np.ndarray
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 1:
-            raise ValueError("counts must be a 1-D vector")
-        if (counts < 0).any():
-            raise ValueError("counts must be non-negative")
-        object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def from_labels(cls, labels: np.ndarray, num_classes: int) -> "ClassDistribution":
-        labels = np.asarray(labels)
-        if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-            raise ValueError("label out of range")
-        return cls(np.bincount(labels, minlength=num_classes))
-
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-@dataclass(frozen=True)
-class ClientDataset:
-    """One client's local data plus its class-distribution vector."""
-
-    client_id: int
-    features: np.ndarray
-    labels: np.ndarray
-    distribution: ClassDistribution
-
-    def __post_init__(self) -> None:
-        if len(self.features) != len(self.labels):
-            raise ValueError("features and labels disagree on sample count")
-        if self.labels.size == 0:
-            raise ValueError(f"client {self.client_id} has no samples")
-        expected = np.bincount(self.labels, minlength=len(self.distribution.counts))
-        if not np.array_equal(expected, self.distribution.counts):
-            raise ValueError(f"distribution does not tally labels of client {self.client_id}")
-
-
-@dataclass(frozen=True)
-class TestSet:
-    """Held-out, class-balanced evaluation data."""
-
-    __test__ = False  # keep pytest from collecting this as a test class
+    A task's clients are one ``Dataset`` with a leading client axis:
+    (K, n, d) features and (K, n) labels, row k = client k.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -176,12 +134,14 @@ def _shard_label_counts(spec: SyntheticTaskSpec) -> np.ndarray:
     return counts
 
 
-def generate_task(spec: SyntheticTaskSpec) -> tuple[list[ClientDataset], TestSet]:
-    """Synthesize the client datasets and the held-out test set for a spec.
+def generate_task(spec: SyntheticTaskSpec) -> tuple[Dataset, np.ndarray, Dataset]:
+    """Synthesize the client data, its class counts and the held-out test set.
 
     Returns:
-        ``(clients, test_set)`` where ``clients[k].client_id == k`` and the
-        test set holds exactly ``100 * num_classes`` class-balanced samples.
+        ``(clients, counts, test_set)``: ``clients`` holds (K, n, d) features
+        and (K, n) labels with n = ``samples_per_client``; ``counts`` is the
+        (K, C) int64 tally of each client's labels; the test set holds exactly
+        ``100 * num_classes`` class-balanced samples.
     """
     if spec.skew == SKEW_DIRICHLET:
         label_counts = _dirichlet_label_counts(spec)
@@ -192,22 +152,15 @@ def generate_task(spec: SyntheticTaskSpec) -> tuple[list[ClientDataset], TestSet
         (spec.num_classes, spec.feature_dim)
     )
 
-    clients = []
+    shape = (spec.num_clients, spec.samples_per_client)
+    features = np.empty(shape + (spec.feature_dim,))
+    labels = np.empty(shape, dtype=np.int64)
     for k in range(spec.num_clients):
-        counts = label_counts[k]
-        labels = np.repeat(np.arange(spec.num_classes), counts)
-        labels = generator(spec.seed, "label-order", k).permutation(labels)
-        noise = generator(spec.seed, "features", k).standard_normal(
-            (spec.samples_per_client, spec.feature_dim)
+        labels[k] = generator(spec.seed, "label-order", k).permutation(
+            np.repeat(np.arange(spec.num_classes), label_counts[k])
         )
-        features = means[labels] + noise
-        clients.append(
-            ClientDataset(
-                client_id=k,
-                features=features,
-                labels=labels,
-                distribution=ClassDistribution(counts),
-            )
+        features[k] = means[labels[k]] + generator(spec.seed, "features", k).standard_normal(
+            (spec.samples_per_client, spec.feature_dim)
         )
 
     test_labels = np.repeat(np.arange(spec.num_classes), TEST_SAMPLES_PER_CLASS)
@@ -216,4 +169,4 @@ def generate_task(spec: SyntheticTaskSpec) -> tuple[list[ClientDataset], TestSet
     test_features = means[test_labels] + test_rng.standard_normal(
         (test_labels.size, spec.feature_dim)
     )
-    return clients, TestSet(features=test_features, labels=test_labels)
+    return Dataset(features, labels), label_counts, Dataset(test_features, test_labels)

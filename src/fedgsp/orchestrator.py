@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metrics
-from .datagen import ClientDataset, SyntheticTaskSpec, TestSet, generate_task
+from .datagen import Dataset, SyntheticTaskSpec, generate_task
 from .errors import ConfigurationError
 from .grouping import (
     GroupingPlan,
@@ -160,12 +160,15 @@ class ExperimentState:
     """Mutable run state advanced by :func:`run_round`."""
 
     config: ExperimentConfig
-    clients: list[ClientDataset]
+    # (K, n, d) features and (K, n) labels, row k = client k.
+    clients: Dataset
     # (K, C) class counts, row k = client k; what grouping and CPD read.
     counts: np.ndarray
-    test_set: TestSet
+    test_set: Dataset
     params: ModelParams
     completed_rounds: int = 0
+    # Cumulative t_comp over completed_rounds.
+    t_comp_cum_s: float = 0.0
     records: list[RoundRecord] = field(default_factory=list)
     # Diagnostics for tests and audit dumps; refreshed every round.
     last_plan: GroupingPlan | None = None
@@ -173,11 +176,11 @@ class ExperimentState:
 
 
 def new_experiment_state(config: ExperimentConfig) -> ExperimentState:
-    clients, test_set = generate_task(config.task)
+    clients, counts, test_set = generate_task(config.task)
     return ExperimentState(
         config=config,
         clients=clients,
-        counts=np.stack([c.distribution.counts for c in clients]),
+        counts=counts,
         test_set=test_set,
         params=init_model(config.model),
     )
@@ -212,10 +215,11 @@ def _sample_size(kappa: float, group_count: int) -> int:
 def _train_chain(state: ExperimentState, plan: GroupingPlan, group_id: int) -> ModelParams:
     config = state.config
     params = state.params
+    features, labels = state.clients.features, state.clients.labels
     for client_id in plan.groups[group_id]:
         params = train_one_client(
             params,
-            state.clients[client_id],
+            Dataset(features[client_id], labels[client_id]),
             config.sgd,
             batch_seed=stream_id(
                 config.run_seed, "batch", plan.round_index, group_id, client_id
@@ -225,7 +229,11 @@ def _train_chain(state: ExperimentState, plan: GroupingPlan, group_id: int) -> M
 
 
 def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
-    """Execute round ``round_index``, advance the state, and return its record."""
+    """Execute round ``round_index``, advance the state, and return its record.
+
+    Rounds run in order: the record's ``t_comp_cum_s`` adds this round's cost
+    to the state's running sum.
+    """
     config = state.config
     plan = _build_plan(state, round_index)
     sample_count = _sample_size(config.kappa, plan.group_count)
@@ -244,7 +252,9 @@ def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
     else:
         median_cpd = 0.0
 
-    counts = [group_count_for_round(config, r) for r in range(1, round_index + 1)]
+    state.t_comp_cum_s += metrics.t_comp(
+        [group_count_for_round(config, round_index)], config.cost
+    )
     record = RoundRecord(
         round_index=round_index,
         group_count=plan.group_count,
@@ -252,7 +262,7 @@ def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
         accuracy=accuracy,
         loss=loss,
         median_group_cpd=median_cpd,
-        t_comp_cum_s=metrics.t_comp(counts, config.cost),
+        t_comp_cum_s=state.t_comp_cum_s,
         t_comm_cum_s=metrics.t_comm(round_index, config.cost),
         d_comm_cum_mb=metrics.d_comm(round_index, config.cost),
     )
@@ -313,7 +323,8 @@ def preflight(
 
     Returns the checkpoint's (completed rounds, params) when resuming, else
     ``None``. Raises ``ConfigurationError`` for a bad checkpoint interval, a
-    checkpoint that cannot be read, or a checkpoint of another seed.
+    checkpoint that cannot be read, or a checkpoint of another seed or model
+    layout.
     """
     if checkpoint_every is not None:
         if checkpoint_every < 1:
@@ -331,6 +342,11 @@ def preflight(
     if run_seed != config.run_seed:
         raise ConfigurationError(
             f"checkpoint seed {run_seed} does not match config seed {config.run_seed}"
+        )
+    expected = init_model(config.model).layout
+    if params.layout != expected:
+        raise ConfigurationError(
+            f"checkpoint model layout {params.layout} does not match config layout {expected}"
         )
     return completed, params
 
@@ -360,6 +376,10 @@ def run_experiment(
     state = new_experiment_state(config)
     if resumed is not None:
         state.completed_rounds, state.params = resumed
+        state.t_comp_cum_s = metrics.t_comp(
+            [group_count_for_round(config, r) for r in range(1, state.completed_rounds + 1)],
+            config.cost,
+        )
 
     for round_index in range(state.completed_rounds + 1, config.rounds + 1):
         record = run_round(state, round_index)

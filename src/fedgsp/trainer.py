@@ -133,9 +133,8 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
 
 
-def _forward(values: np.ndarray, layout, features: np.ndarray):
-    """Return (logits, hidden activation or None)."""
-    layers = _split(values, layout)
+def _forward(layers: dict[str, np.ndarray], features: np.ndarray):
+    """Return (logits, hidden activation or None) for split parameter layers."""
     if "w1" in layers:
         hidden = np.tanh(features @ layers["w1"].T + layers["b1"])
         return hidden @ layers["w2"].T + layers["b2"], hidden
@@ -148,7 +147,7 @@ def loss_and_gradient(
     """Mean cross-entropy over the batch and its analytic gradient (flat)."""
     layers = _split(params.values, params.layout)
     batch = len(labels)
-    logits, hidden = _forward(params.values, params.layout, features)
+    logits, hidden = _forward(layers, features)
     log_probs = _log_softmax(logits)
     loss = -float(log_probs[np.arange(batch), labels].mean())
 
@@ -204,7 +203,7 @@ def train_one_client(
 
 def evaluate(params: ModelParams, dataset) -> tuple[float, float]:
     """Accuracy (argmax-match fraction) and mean cross-entropy on a dataset."""
-    logits, _ = _forward(params.values, params.layout, dataset.features)
+    logits, _ = _forward(_split(params.values, params.layout), dataset.features)
     log_probs = _log_softmax(logits)
     predictions = np.argmax(logits, axis=1)
     accuracy = float(np.mean(predictions == dataset.labels))

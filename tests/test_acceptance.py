@@ -220,8 +220,7 @@ def test_c04_cpd_reduction():
             concentration=0.3,
             seed=seed,
         )
-        clients, _ = generate_task(task)
-        dists = np.stack([c.distribution.counts for c in clients])
+        _, dists, _ = generate_task(task)
         clustered = inter_cluster_grouping(dists, group_count, 1, seed=seed)
         random_plan = random_grouping(60, group_count, 1, seed=seed)
         clustered_median = median_pairwise_cpd(
@@ -247,7 +246,7 @@ def test_c05_sequential_chain_equivalence():
     spec = ModelSpec(kind="softmax_linear", feature_dim=6, num_classes=4, init_seed=55)
     params = init_model(spec)
     # 23 samples per client at batch size 5 exercises the kept short batch.
-    chain = [random_dataset(rng, 23, 6, 4, client_id=k) for k in range(5)]
+    chain = [random_dataset(rng, 23, 6, 4) for _ in range(5)]
     seeds = [stream_id(909, "batch", 1, 0, k) for k in range(5)]
     config = SgdConfig(learning_rate=0.01, batch_size=5, local_epochs=1)
     current = params

@@ -273,6 +273,18 @@ class TestCmdRun:
         assert code == 1
         assert {name: (run_dir / name).read_bytes() for name in before} == before
 
+    def test_resume_with_other_model_leaves_run_untouched(self, tmp_path, config_path, capsys):
+        out = tmp_path / "out"
+        run = ["run", "--config", str(config_path), "--out", str(out)]
+        assert main(run + ["--checkpoint-every", "2"]) == 0
+        run_dir = out / "smoke"
+        before = {name: (run_dir / name).read_bytes() for name in ("manifest.json", "rounds.csv")}
+        resume = ["--resume", str(run_dir / "checkpoint.json")]
+        code = main(run + ["--set", "model.kind=mlp_one_hidden", "--set", "rounds=4"] + resume)
+        assert code == 1
+        assert "model layout" in capsys.readouterr().err
+        assert {name: (run_dir / name).read_bytes() for name in before} == before
+
     def test_training_divergence_marks_manifest_failed(
         self, tmp_path, config_path, monkeypatch
     ):
@@ -327,7 +339,7 @@ class TestCmdAblation:
             config = json.loads((root / arm / "manifest.json").read_text())["config"]
             state = new_experiment_state(resolve(config).experiment)
             units = [
-                np.sum([state.clients[c].distribution.counts for c in group], axis=0)
+                state.counts[list(group)].sum(axis=0)
                 for group in _build_plan(state, 1).groups
             ]
             expected += [

@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedgsp.datagen import (
-    ClassDistribution,
-    ClientDataset,
-    SyntheticTaskSpec,
-    generate_task,
-    largest_remainder_counts,
-)
+from fedgsp.datagen import SyntheticTaskSpec, generate_task, largest_remainder_counts
 from fedgsp.errors import ConfigurationError
 from fedgsp.metrics import median_pairwise_cpd
 
@@ -47,25 +41,6 @@ class TestSpecValidation:
             make_spec(skew="zipf")
 
 
-class TestClassDistribution:
-    def test_from_labels_tallies(self):
-        dist = ClassDistribution.from_labels(np.array([0, 0, 1]), 2)
-        assert dist.counts.tolist() == [2, 1]
-
-    def test_rejects_negative_counts(self):
-        with pytest.raises(ValueError):
-            ClassDistribution(np.array([1, -1]))
-
-    def test_empty_labels_rejected_at_dataset_construction(self):
-        with pytest.raises(ValueError):
-            ClientDataset(
-                client_id=0,
-                features=np.zeros((0, 3)),
-                labels=np.array([], dtype=np.int64),
-                distribution=ClassDistribution(np.zeros(2, dtype=np.int64)),
-            )
-
-
 class TestLargestRemainder:
     def test_exact_total(self):
         counts = largest_remainder_counts(np.array([0.5, 0.3, 0.2]), 7)
@@ -78,57 +53,62 @@ class TestLargestRemainder:
 
 class TestGenerateTask:
     def test_deterministic(self):
-        a_clients, a_test = generate_task(make_spec())
-        b_clients, b_test = generate_task(make_spec())
-        for a, b in zip(a_clients, b_clients):
-            assert np.array_equal(a.labels, b.labels)
-            assert np.array_equal(a.features, b.features)
+        a_clients, a_counts, a_test = generate_task(make_spec())
+        b_clients, b_counts, b_test = generate_task(make_spec())
+        assert np.array_equal(a_clients.labels, b_clients.labels)
+        assert np.array_equal(a_clients.features, b_clients.features)
+        assert np.array_equal(a_counts, b_counts)
         assert np.array_equal(a_test.features, b_test.features)
 
+    def test_stacked_shapes(self):
+        for skew in ("dirichlet", "shards"):
+            clients, counts, _ = generate_task(make_spec(skew=skew))
+            assert clients.features.shape == (12, 50, 8)
+            assert clients.labels.shape == (12, 50)
+            assert counts.shape == (12, 5) and counts.dtype == np.int64
+
     def test_conservation_and_tally_oracle(self):
-        # Recount every label by brute force and compare with the stored
-        # distributions; the grand total must be K * n.
-        clients, _ = generate_task(make_spec())
+        # Recount every client's labels by brute force and compare with its
+        # row of the returned counts; the grand total must be K * n.
+        clients, counts, _ = generate_task(make_spec())
         grand = 0
-        for client in clients:
+        for labels, row in zip(clients.labels, counts, strict=True):
             recount = np.zeros(5, dtype=np.int64)
-            for label in client.labels:
+            for label in labels:
                 recount[label] += 1
-            assert np.array_equal(recount, client.distribution.counts)
+            assert np.array_equal(recount, row)
             grand += recount.sum()
         assert grand == 12 * 50
 
     def test_near_infinite_concentration_is_uniform(self):
-        clients, _ = generate_task(make_spec(concentration=1e6))
-        for client in clients:
-            proportions = client.distribution.counts / 50
+        _, counts, _ = generate_task(make_spec(concentration=1e6))
+        for row in counts:
+            proportions = row / 50
             assert np.max(np.abs(proportions - 1 / 5)) <= 0.01 + 1e-12
 
     def test_single_shard_gives_one_label_block(self):
-        clients, _ = generate_task(
+        _, counts, _ = generate_task(
             make_spec(skew="shards", shards_per_client=1, num_classes=4)
         )
-        for client in clients:
-            nonzero = np.flatnonzero(client.distribution.counts)
+        for row in counts:
+            nonzero = np.flatnonzero(row)
             # One contiguous run of classes: a single slice of the sorted pool.
             assert nonzero[-1] - nonzero[0] + 1 == len(nonzero)
 
     def test_shards_conserve_pool(self):
-        clients, _ = generate_task(make_spec(skew="shards", shards_per_client=2))
-        total = sum(c.distribution.total() for c in clients)
-        assert total == 12 * 50
-        per_class = sum(c.distribution.counts for c in clients)
+        _, counts, _ = generate_task(make_spec(skew="shards", shards_per_client=2))
+        assert counts.sum() == 12 * 50
+        per_class = counts.sum(axis=0)
         assert np.all(per_class == 12 * 50 // 5)
 
     def test_test_set_is_balanced(self):
-        _, test = generate_task(make_spec())
+        _, _, test = generate_task(make_spec())
         assert len(test.labels) == 100 * 5
         assert np.bincount(test.labels, minlength=5).tolist() == [100] * 5
 
     def test_labels_below_num_classes(self):
-        clients, test = generate_task(make_spec())
-        for client in clients:
-            assert client.labels.max() < 5
+        clients, _, test = generate_task(make_spec())
+        assert clients.labels.max() < 5
         assert test.labels.max() < 5
 
     @settings(max_examples=15, deadline=None)
@@ -148,15 +128,13 @@ class TestGenerateTask:
             concentration=0.5,
             seed=seed,
         )
-        clients, _ = generate_task(spec)
-        assert sum(c.distribution.total() for c in clients) == num_clients * samples
+        _, counts, _ = generate_task(spec)
+        assert counts.sum() == num_clients * samples
 
     def test_skew_monotonicity(self):
         # Heavier skew must show up as larger pairwise divergence.
         spread = []
         for concentration in (0.1, 100.0):
-            clients, _ = generate_task(
-                make_spec(num_clients=20, concentration=concentration)
-            )
-            spread.append(median_pairwise_cpd([c.distribution.counts for c in clients]))
+            _, counts, _ = generate_task(make_spec(num_clients=20, concentration=concentration))
+            spread.append(median_pairwise_cpd(counts))
         assert spread[0] > spread[1]

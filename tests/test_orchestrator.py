@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from fedgsp.datagen import SyntheticTaskSpec
+from fedgsp.datagen import Dataset, SyntheticTaskSpec
 from fedgsp.errors import ConfigurationError
-from fedgsp.metrics import CostModelParams
+from fedgsp.metrics import CostModelParams, t_comp
 from fedgsp.orchestrator import (
     GROWTH_CAP,
     ExperimentConfig,
@@ -188,7 +188,8 @@ class TestRunRound:
         run_round(state, 1)
         plan = state.last_plan
         assert plan.group_count == 1
-        chain = [state.clients[c] for c in plan.groups[0]]
+        clients = state.clients
+        chain = [Dataset(clients.features[c], clients.labels[c]) for c in plan.groups[0]]
         seeds = [
             stream_id(config.run_seed, "batch", 1, 0, c) for c in plan.groups[0]
         ]
@@ -289,6 +290,16 @@ class TestRunExperiment:
         resumed, resumed_params = run_experiment(config, resume_from=str(checkpoint))
         assert resumed == straight[3:]
         assert np.array_equal(resumed_params.values, straight_params.values)
+
+    def test_t_comp_running_sum_matches_full_recount(self):
+        # Bitwise: the per-round running sum adds in the same order as t_comp
+        # over every round so far. Resume seeding is covered by the
+        # bit-identical resume test below.
+        config = make_config(rounds=6)
+        records, _ = run_experiment(config)
+        for record in records:
+            counts = [group_count_for_round(config, r) for r in range(1, record.round_index + 1)]
+            assert record.t_comp_cum_s == t_comp(counts, config.cost)
 
     def test_checkpoint_format_versioned(self, tmp_path):
         path = tmp_path / "ck.json"

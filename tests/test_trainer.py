@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fedgsp.datagen import ClassDistribution, ClientDataset, TestSet
+from fedgsp.datagen import Dataset
 from fedgsp.errors import ConfigurationError, TrainingDivergedError
 from fedgsp.rng import generator
 from fedgsp.trainer import (
@@ -17,19 +17,16 @@ from fedgsp.trainer import (
 )
 
 
-def make_dataset(client_id, features, labels, num_classes):
-    return ClientDataset(
-        client_id=client_id,
-        features=np.asarray(features, dtype=float),
-        labels=np.asarray(labels, dtype=np.int64),
-        distribution=ClassDistribution.from_labels(np.asarray(labels), num_classes),
+def make_dataset(features, labels):
+    return Dataset(
+        features=np.asarray(features, dtype=float), labels=np.asarray(labels, dtype=np.int64)
     )
 
 
-def random_dataset(rng, n, dim, num_classes, client_id=0):
+def random_dataset(rng, n, dim, num_classes):
     labels = rng.integers(0, num_classes, size=n)
     labels[: num_classes] = np.arange(num_classes)  # every class present
-    return make_dataset(client_id, rng.standard_normal((n, dim)), labels, num_classes)
+    return make_dataset(rng.standard_normal((n, dim)), labels)
 
 
 def finite_difference_gradient(params, features, labels, step=1e-6):
@@ -106,6 +103,11 @@ class TestGradients:
 
 
 class TestTrainOneClient:
+    def test_empty_dataset_rejected(self):
+        spec = ModelSpec(kind="softmax_linear", feature_dim=3, num_classes=2)
+        with pytest.raises(ValueError, match="empty"):
+            train_one_client(init_model(spec), make_dataset(np.zeros((0, 3)), []), SgdConfig(), 0)
+
     def test_zero_learning_rate_is_identity(self):
         rng = np.random.default_rng(0)
         spec = ModelSpec(kind="softmax_linear", feature_dim=4, num_classes=3, init_seed=2)
@@ -166,7 +168,7 @@ class TestTrainOneClient:
         rng = np.random.default_rng(5)
         spec = ModelSpec(kind="softmax_linear", feature_dim=4, num_classes=3, init_seed=8)
         params = init_model(spec)
-        dataset = make_dataset(0, rng.standard_normal((6, 4)) * 1e150, [0, 1, 2, 0, 1, 2], 3)
+        dataset = make_dataset(rng.standard_normal((6, 4)) * 1e150, [0, 1, 2, 0, 1, 2])
         with pytest.raises(TrainingDivergedError):
             train_one_client(params, dataset, SgdConfig(learning_rate=1e300), batch_seed=3)
 
@@ -224,7 +226,7 @@ class TestSequentialChainEquivalence:
         rng = np.random.default_rng(7)
         spec = ModelSpec(kind="softmax_linear", feature_dim=5, num_classes=4, init_seed=10)
         params = init_model(spec)
-        chain = [random_dataset(rng, 13, 5, 4, client_id=k) for k in range(2)]
+        chain = [random_dataset(rng, 13, 5, 4) for _ in range(2)]
         seeds = [101, 102]
         config = SgdConfig(learning_rate=0.05, batch_size=5)
         current = params
@@ -240,7 +242,7 @@ class TestEvaluate:
         params = ModelParams(values=np.zeros(3 * 4 + 4), layout=init_model(spec).layout)
         rng = np.random.default_rng(8)
         labels = np.repeat(np.arange(4), 25)
-        test = TestSet(features=rng.standard_normal((100, 3)), labels=labels)
+        test = Dataset(features=rng.standard_normal((100, 3)), labels=labels)
         accuracy, loss = evaluate(params, test)
         # Uniform logits: argmax ties resolve to class 0, which is 1/4 of a
         # balanced set; the loss is exactly ln(num_classes).
@@ -255,7 +257,7 @@ class TestEvaluate:
         params = ModelParams(
             values=np.concatenate([np.eye(3).ravel(), np.zeros(3)]), layout=layout
         )
-        accuracy, loss = evaluate(params, TestSet(features=features, labels=labels))
+        accuracy, loss = evaluate(params, Dataset(features=features, labels=labels))
         assert accuracy == 1.0
         assert loss < 1e-3
 
@@ -264,7 +266,7 @@ class TestEvaluate:
         spec = ModelSpec(kind="mlp_one_hidden", feature_dim=4, num_classes=3,
                          hidden_units=5, init_seed=12)
         params = init_model(spec)
-        test = TestSet(
+        test = Dataset(
             features=rng.standard_normal((40, 4)), labels=rng.integers(0, 3, size=40)
         )
         _, loss = evaluate(params, test)
