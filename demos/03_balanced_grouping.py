@@ -40,8 +40,8 @@ def main():
     history = ", ".join(f"{v:,.0f}" for v in result.objective_history)
     print(f"alternating objective (assign, update, ...): {history}")
     print(f"groups of {len(result.plan.groups[0])}: first three = "
-          f"{[list(g) for g in result.plan.groups[:3]]}")
-    print(f"clients sitting out this round: {list(result.plan.unassigned)}")
+          f"{result.plan.groups[:3].tolist()}")
+    print(f"clients sitting out this round: {result.plan.unassigned.tolist()}")
 
     report = result.report
     print("\nGroup centroids vs the global centroid:")

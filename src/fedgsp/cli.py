@@ -204,24 +204,24 @@ def _first_round_pair_cpds(resolved: ResolvedRun):
 def cmd_ablation(args) -> int:
     settings = load_config_file(args.config)
     overrides = dict(parse_override(item) for item in args.set or [])
+    # Without a fixed group count, freeze the naive arms at the growth
+    # schedule's starting point. Every arm resolves before any of them runs.
+    base = resolve(settings, {**overrides, "algorithm": "fedgsp"}).experiment
+    naive_count = base.fixed_group_count or growth_eval(base.growth, 1)
+    arms = {}
+    for arm in ABLATION_ARMS:
+        arm_overrides = {**overrides, "algorithm": arm}
+        if arm in ("naive_gsp", "naive_gsp_icg"):
+            arm_overrides["fixed_group_count"] = str(naive_count)
+        arms[arm] = resolve(settings, arm_overrides)
+
     name = args.name or f"{Path(args.config).stem}-ablation"
     root = _out_root(args) / name
     root.mkdir(parents=True, exist_ok=True)
 
-    effective = dict(settings)
-    effective.update(overrides)
-    fixed_unset = int(effective.get("fixed_group_count", "0") or 0) == 0
-
     comparison = []
     cpd_rows = []
-    for arm in ABLATION_ARMS:
-        arm_overrides = dict(overrides)
-        arm_overrides["algorithm"] = arm
-        if arm in ("naive_gsp", "naive_gsp_icg") and fixed_unset:
-            # Freeze the naive arms at the growth schedule's starting point.
-            base = resolve(settings, {**overrides, "algorithm": "fedgsp"})
-            arm_overrides["fixed_group_count"] = str(growth_eval(base.experiment.growth, 1))
-        resolved = resolve(settings, arm_overrides)
+    for arm, resolved in arms.items():
         summary = _execute_run(resolved, root / arm, args)
         comparison.append(
             (

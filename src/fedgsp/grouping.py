@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -35,41 +34,55 @@ PLAN_FORMAT_VERSION = 1
 class ClusterState:
     """Converged (or iteration-capped) balanced clustering of the round's clients."""
 
-    cluster_count: int
     centroids: np.ndarray
     assignment: np.ndarray
 
+    @property
+    def cluster_count(self) -> int:
+        return len(self.centroids)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class GroupingPlan:
     """Round-specific assignment of clients to ordered groups.
 
-    ``groups[m]`` lists the client ids of group ``m`` in training order;
-    ``unassigned`` are the clients sitting out the round (dropped by the
-    divisibility subsample or left over in their cluster).
+    ``groups`` is a read-only (M, L) int64 array: row ``m`` lists the client
+    ids of group ``m`` in training order, so every group has L members.
+    ``unassigned`` are the clients of ``range(num_clients)`` sitting out the
+    round (dropped by the divisibility subsample or left over in their
+    cluster), in ascending order.
     """
 
     round_index: int
-    group_count: int
-    groups: tuple[tuple[int, ...], ...]
-    unassigned: tuple[int, ...]
+    groups: np.ndarray
+    num_clients: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "groups", tuple(tuple(g) for g in self.groups))
-        object.__setattr__(self, "unassigned", tuple(self.unassigned))
-        if len(self.groups) != self.group_count:
-            raise ValueError("group_count disagrees with groups")
-        members = [c for g in self.groups for c in g]
-        if len(set(members)) != len(members):
+        groups = np.array(self.groups, dtype=np.int64)  # ragged input raises ValueError
+        if groups.ndim != 2 or groups.size == 0:
+            raise ValueError(f"groups must be a non-empty (M, L) array, got {groups.shape}")
+        if groups.min() < 0 or groups.max() >= self.num_clients:
+            raise ValueError(f"client ids must be in [0, {self.num_clients})")
+        if len(np.unique(groups)) != groups.size:
             raise ValueError("a client appears in more than one group")
+        groups.flags.writeable = False
+        object.__setattr__(self, "groups", groups.view())  # a view cannot be made writeable
+
+    @property
+    def group_count(self) -> int:
+        return len(self.groups)
+
+    @property
+    def unassigned(self) -> np.ndarray:
+        return np.setdiff1d(np.arange(self.num_clients), self.groups)
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "format_version": PLAN_FORMAT_VERSION,
                 "round": self.round_index,
-                "groups": [list(g) for g in self.groups],
-                "unassigned": list(self.unassigned),
+                "groups": self.groups.tolist(),
+                "unassigned": self.unassigned.tolist(),
             }
         )
 
@@ -197,26 +210,18 @@ def constrained_cluster(
         centroids = updated
         if displacement < tolerance:
             break
-    state = ClusterState(
-        cluster_count=cluster_count, centroids=centroids, assignment=assignment
-    )
-    return state, tuple(history)
+    return ClusterState(centroids=centroids, assignment=assignment), tuple(history)
 
 
 def _centroid_report(
-    pts: np.ndarray,
-    participant_rows: dict[int, int],
-    state: ClusterState,
-    groups: Sequence[Sequence[int]],
+    pts: np.ndarray, rows: np.ndarray, state: ClusterState
 ) -> GroupCentroidReport:
     spreads = np.empty(state.cluster_count)
     for l in range(state.cluster_count):
         diff = pts[state.assignment == l] - state.centroids[l]
         spreads[l] = float(np.sum(diff * diff, axis=1).max())
     global_centroid = state.centroids.mean(axis=0)
-    group_centroids = np.stack(
-        [pts[[participant_rows[c] for c in group]].mean(axis=0) for group in groups]
-    )
+    group_centroids = pts[rows].mean(axis=1)
     errors = np.sum((group_centroids - global_centroid) ** 2, axis=1)
     bound = float(spreads.sum()) / state.cluster_count
     return GroupCentroidReport(
@@ -267,29 +272,21 @@ def inter_cluster_grouping(
         num_clients, size=sampled_count, replace=False
     )
     participants = np.sort(participants)
-    participant_rows = {int(c): i for i, c in enumerate(participants)}
 
     pts = counts[participants]
     state, history = constrained_cluster(pts, group_size, icg_seed)
 
-    groups: list[list[int]] = [[] for _ in range(group_count)]
+    # rows[m, l]: the participant row that cluster l deals to group m.
+    rows = np.empty((group_count, group_size), dtype=np.int64)
     for l in range(group_size):
-        members = participants[state.assignment == l]
+        members = np.flatnonzero(state.assignment == l)
         order = generator(icg_seed, "cluster-deal", l).permutation(len(members))
-        for m in range(group_count):
-            groups[m].append(int(members[order[m]]))
+        rows[:, l] = members[order[:group_count]]
     for m in range(group_count):
-        generator(icg_seed, "group-order", m).shuffle(groups[m])
+        generator(icg_seed, "group-order", m).shuffle(rows[m])
 
-    grouped = {c for group in groups for c in group}
-    unassigned = tuple(c for c in range(num_clients) if c not in grouped)
-    plan = GroupingPlan(
-        round_index=round_index,
-        group_count=group_count,
-        groups=tuple(tuple(g) for g in groups),
-        unassigned=unassigned,
-    )
-    report = _centroid_report(pts, participant_rows, state, groups)
+    plan = GroupingPlan(round_index, participants[rows], num_clients)
+    report = _centroid_report(pts, rows, state)
     return IcgResult(
         plan=plan, report=report, cluster_state=state, objective_history=history
     )
@@ -307,31 +304,15 @@ def random_grouping(
     drawn = generator(stream_id(seed, "random-grouping", round_index), "draw").choice(
         num_clients, size=group_count * group_size, replace=False
     )
-    groups = tuple(
-        tuple(int(c) for c in drawn[m * group_size : (m + 1) * group_size])
-        for m in range(group_count)
-    )
-    grouped = {c for group in groups for c in group}
-    unassigned = tuple(c for c in range(num_clients) if c not in grouped)
-    return GroupingPlan(
-        round_index=round_index,
-        group_count=group_count,
-        groups=groups,
-        unassigned=unassigned,
-    )
+    return GroupingPlan(round_index, drawn.reshape(group_count, group_size), num_clients)
 
 
 def singleton_grouping(num_clients: int, round_index: int) -> GroupingPlan:
     """One client per group: plain parallel training."""
-    return GroupingPlan(
-        round_index=round_index,
-        group_count=num_clients,
-        groups=tuple((c,) for c in range(num_clients)),
-        unassigned=(),
-    )
+    return GroupingPlan(round_index, np.arange(num_clients)[:, None], num_clients)
 
 
 def group_distributions(plan: GroupingPlan, counts: np.ndarray) -> np.ndarray:
     """Per-group overall class counts: the sums of the members' rows of ``counts``."""
-    return np.stack([counts[list(group)].sum(axis=0) for group in plan.groups])
+    return counts[plan.groups].sum(axis=1)
 

@@ -216,7 +216,7 @@ def _train_chain(state: ExperimentState, plan: GroupingPlan, group_id: int) -> M
     config = state.config
     params = state.params
     features, labels = state.clients.features, state.clients.labels
-    for client_id in plan.groups[group_id]:
+    for client_id in plan.groups[group_id].tolist():
         params = train_one_client(
             params,
             Dataset(features[client_id], labels[client_id]),
@@ -252,9 +252,7 @@ def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
     else:
         median_cpd = 0.0
 
-    state.t_comp_cum_s += metrics.t_comp(
-        [group_count_for_round(config, round_index)], config.cost
-    )
+    state.t_comp_cum_s += metrics.t_comp([plan.group_count], config.cost)
     record = RoundRecord(
         round_index=round_index,
         group_count=plan.group_count,

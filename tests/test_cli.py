@@ -349,6 +349,19 @@ class TestCmdAblation:
             ]
         assert pairs[1:] == expected
 
+    @pytest.mark.parametrize("value", ["x", "-3"])
+    def test_bad_fixed_group_count_fails_before_any_arm(
+        self, tmp_path, config_path, capsys, value
+    ):
+        # "x" fails to parse; "-3" parses but no naive arm accepts it. Both
+        # are config errors, found before the fedavg arm runs.
+        out = tmp_path / "out"
+        argv = ["ablation", "--config", str(config_path), "--out", str(out)]
+        code = main(argv + ["--set", "rounds=1", "--set", f"fixed_group_count={value}"])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCmdGrid:
     def test_grid_shape(self, tmp_path, config_path):

@@ -1,4 +1,5 @@
-"""Pinned output bytes: every arm of the shipped demo config, five rounds.
+"""Pinned output bytes: every arm of the shipped demo config, five rounds,
+and the shard-skew ICG path at K = 120, three rounds.
 
 A refactor that claims "output bytes unchanged" must keep these hashes. A
 change that moves the bytes on purpose updates them here and says why in
@@ -34,6 +35,27 @@ GOLDEN = {
 }
 
 
+# Shard skew leaves many clients with identical class counts, so the
+# balanced assignment meets many equal-cost ties; this pins how they break.
+SHARDS_K120 = {
+    "algorithm": "naive_gsp_icg",
+    "task.num_clients": "120",
+    "task.skew": "shards",
+    "fixed_group_count": "8",
+    "model.kind": "softmax_linear",
+}
+GOLDEN_SHARDS_K120 = {
+    "rounds.csv": "e222db22d4d7b1f9502154f483b6b0ef860ab077dad57b532e21ef154dc86fa1",
+    "groupings.jsonl": "a1d09f37c8a6620fe6de8bbf20f72beb7a59ddd1b7de08b760455675b34753c1",
+}
+
+
+def _digests(run_dir: Path, names) -> dict[str, str]:
+    return {
+        name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in names
+    }
+
+
 @pytest.mark.parametrize("arm", sorted(GOLDEN))
 def test_output_bytes_pinned(arm, tmp_path):
     # The naive arms run at the growth schedule's starting count, beta = 4,
@@ -43,8 +65,12 @@ def test_output_bytes_pinned(arm, tmp_path):
     if arm.startswith("naive"):
         argv += ["--set", "fixed_group_count=4"]
     assert main(argv) == 0
-    digests = {
-        name: hashlib.sha256((tmp_path / arm / name).read_bytes()).hexdigest()
-        for name in GOLDEN[arm]
-    }
-    assert digests == GOLDEN[arm]
+    assert _digests(tmp_path / arm, GOLDEN[arm]) == GOLDEN[arm]
+
+
+def test_shard_skew_icg_bytes_pinned(tmp_path):
+    argv = ["run", "--config", str(CONFIG), "--out", str(tmp_path), "--name", "shards"]
+    for key, value in {**SHARDS_K120, "rounds": "3"}.items():
+        argv += ["--set", f"{key}={value}"]
+    assert main(argv + ["--dump-groupings"]) == 0
+    assert _digests(tmp_path / "shards", GOLDEN_SHARDS_K120) == GOLDEN_SHARDS_K120

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedgsp.grouping import (
     GroupingPlan,
@@ -133,7 +135,7 @@ class TestInterClusterGrouping:
         plan = result.plan
         assert plan.group_count == 52
         assert all(len(group) == 7 for group in plan.groups)
-        assert plan.unassigned == ()
+        assert plan.unassigned.tolist() == []
         assert result.cluster_state.cluster_count == 7
         assert np.bincount(result.cluster_state.assignment).tolist() == [52] * 7
 
@@ -183,7 +185,7 @@ class TestInterClusterGrouping:
         # must coincide with the global centroid.
         clients = counts_for(24, 5, seed=9)
         result = inter_cluster_grouping(clients, 6, 1, seed=10)
-        assert result.plan.unassigned == ()
+        assert result.plan.unassigned.tolist() == []
         mean_of_groups = result.report.group_centroids.mean(axis=0)
         assert np.allclose(mean_of_groups, result.report.global_centroid, atol=1e-10)
 
@@ -201,9 +203,9 @@ class TestInterClusterGrouping:
         clients = counts_for(20, 4, seed=13)
         a = inter_cluster_grouping(clients, 4, 3, seed=14)
         b = inter_cluster_grouping(clients, 4, 3, seed=14)
-        assert a.plan == b.plan
+        assert a.plan.to_json() == b.plan.to_json()
         c = inter_cluster_grouping(clients, 4, 4, seed=14)
-        assert c.plan != a.plan  # round index feeds the sub-streams
+        assert c.plan.to_json() != a.plan.to_json()  # round index feeds the sub-streams
 
     def test_rejects_nonpositive_group_count(self):
         clients = counts_for(6, 3, seed=15)
@@ -219,9 +221,8 @@ class TestOtherStrategies:
         assert len(plan.unassigned) == 1
 
     def test_random_grouping_deterministic(self):
-        assert random_grouping(17, 4, 2, seed=3) == random_grouping(
-            17, 4, 2, seed=3
-        )
+        first = random_grouping(17, 4, 2, seed=3)
+        assert first.to_json() == random_grouping(17, 4, 2, seed=3).to_json()
 
     def test_random_grouping_rejects_out_of_range_count(self):
         for group_count in (0, 18):
@@ -230,15 +231,13 @@ class TestOtherStrategies:
 
     def test_singleton_grouping(self):
         plan = singleton_grouping(5, 1)
-        assert plan.groups == ((0,), (1,), (2,), (3,), (4,))
-        assert plan.unassigned == ()
+        assert plan.groups.tolist() == [[0], [1], [2], [3], [4]]
+        assert plan.unassigned.tolist() == []
 
 
 class TestPlanSerialization:
     def test_json_round_trip(self):
-        plan = GroupingPlan(
-            round_index=3, group_count=2, groups=((4, 1), (0, 2)), unassigned=(3,)
-        )
+        plan = GroupingPlan(round_index=3, groups=((4, 1), (0, 2)), num_clients=5)
         assert json.loads(plan.to_json()) == {
             "format_version": 1,
             "round": 3,
@@ -248,4 +247,76 @@ class TestPlanSerialization:
 
     def test_duplicate_member_rejected(self):
         with pytest.raises(ValueError):
-            GroupingPlan(round_index=1, group_count=2, groups=((0, 1), (1, 2)), unassigned=())
+            GroupingPlan(round_index=1, groups=((0, 1), (1, 2)), num_clients=3)
+
+
+def plans_from_every_builder(num_clients, group_count, seed):
+    """(plan, expected group count) from ICG, random and singleton grouping."""
+    clients = counts_for(num_clients, 4, seed=seed)
+    yield inter_cluster_grouping(clients, group_count, 2, seed).plan, group_count
+    yield random_grouping(num_clients, group_count, 2, seed), group_count
+    yield singleton_grouping(num_clients, 2), num_clients
+
+
+class TestPlanInvariants:
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_builders_give_rectangular_disjoint_plans(self, data):
+        num_clients = data.draw(st.integers(1, 24), label="K")
+        group_count = data.draw(st.integers(1, num_clients), label="M")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        for plan, count in plans_from_every_builder(num_clients, group_count, seed):
+            assert plan.groups.shape == (count, num_clients // count)
+            assert plan.groups.dtype == np.int64
+            assert plan.group_count == count
+            members = [int(c) for row in plan.groups for c in row]
+            assert len(set(members)) == len(members)
+            complement = sorted(set(range(num_clients)) - set(members))
+            assert plan.unassigned.tolist() == complement
+            assert json.loads(plan.to_json()) == {
+                "format_version": 1,
+                "round": 2,
+                "groups": [[int(c) for c in row] for row in plan.groups],
+                "unassigned": complement,
+            }
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rejects_duplicated_and_out_of_range_ids(self, data):
+        num_clients = data.draw(st.integers(2, 30), label="K")
+        group_count = data.draw(st.integers(1, num_clients), label="M")
+        size = data.draw(st.integers(1, num_clients // group_count), label="L")
+        ids = data.draw(st.permutations(range(num_clients)), label="ids")
+        groups = np.array(ids[: group_count * size]).reshape(group_count, size)
+        assert GroupingPlan(1, groups, num_clients).groups.tolist() == groups.tolist()
+
+        m = data.draw(st.integers(0, group_count - 1), label="m")
+        l = data.draw(st.integers(0, size - 1), label="l")
+        bad = groups.copy()
+        others = [c for c in groups.ravel().tolist() if c != groups[m, l]]
+        bad[m, l] = data.draw(
+            st.one_of(
+                st.integers(-5, -1),
+                st.integers(num_clients, num_clients + 5),
+                st.sampled_from(others or [-1]),
+            ),
+            label="bad id",
+        )
+        with pytest.raises(ValueError):
+            GroupingPlan(1, bad, num_clients)
+
+    @pytest.mark.parametrize(
+        "groups",
+        [((0, 1), (2,)), (0, 1, 2), (), ((),), np.zeros((1, 2, 1), dtype=np.int64)],
+        ids=["ragged", "1-d", "empty", "empty-row", "3-d"],
+    )
+    def test_rejects_non_rectangular_groups(self, groups):
+        with pytest.raises(ValueError):
+            GroupingPlan(1, groups, 4)
+
+    def test_groups_are_read_only(self):
+        plan = random_grouping(12, 3, 1, seed=2)
+        with pytest.raises(ValueError):
+            plan.groups[0, 0] = 5
+        with pytest.raises(ValueError):
+            plan.groups.flags.writeable = True
