@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Exercise the exact min-cost-flow solver that powers balanced clustering.
+"""Exercise the exact min-cost-flow solver, the reference oracle for balanced clustering.
 
-Solves a small transshipment instance, prints the per-arc flows, and shows
-the determinism guarantee: repeated solves return identical flows even when
-many optima tie on cost.
+Solves a small transshipment instance, prints the per-arc flows, checks the
+balanced assignment of ``grouping.cluster_assignment`` against the flow's
+cost, and shows the determinism guarantee: repeated solves return identical
+flows even when many optima tie on cost.
 """
 
 import numpy as np
 
+from fedgsp.grouping import cluster_assignment
 from fedgsp.mcf import FlowNetwork, solve
 
 
@@ -48,6 +50,11 @@ def main():
     assignment = solution.flows.reshape(6, 2).argmax(axis=1)
     print(f"points:\n{points}")
     print(f"assignment to clusters: {assignment.tolist()} (three per cluster, exactly)")
+    fast = cluster_assignment(points, centroids)
+    costs = np.array([arc[3] for arc in arcs]).reshape(6, 2)
+    fast_cost = int(costs[np.arange(6), fast].sum())
+    print(f"cluster_assignment: {fast.tolist()}, cost {fast_cost} "
+          f"(flow cost {solution.total_cost}, equal: {fast_cost == solution.total_cost})")
 
     print("\n=== Determinism under ties ===")
     tie_costs = tuple((k, 6 + l, 1, 1) for k in range(6) for l in range(2))

@@ -2,11 +2,12 @@
 
 The round's clients are split into ``L`` equal-size clusters of similar
 distributions (alternating exact balanced assignment / centroid update, with
-the assignment step solved as a min-cost flow), then each group draws one
-client from every cluster, so all groups end up with near-identical overall
-class mixes. ``L`` is both the cluster count and the group size: with ``M``
-groups requested over ``K`` clients, ``L = K // M`` and only
-``L * (K // L)`` subsampled clients take part in the round.
+the assignment step solved by successive shortest paths over the L clusters),
+then each group draws one client from every cluster, so all groups end up
+with near-identical overall class mixes. ``L`` is both the cluster count and
+the group size: with ``M`` groups requested over ``K`` clients,
+``L = K // M`` and only ``L * (K // L)`` subsampled clients take part in the
+round.
 
 Random balanced grouping (the ablation baseline) and singleton grouping (one
 client per group, i.e. plain parallel training) produce the same plan type so
@@ -20,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mcf
 from .rng import generator, stream_id
 
 COST_SCALE = 10**6
 MAX_ALTERNATIONS = 10
 CENTROID_TOLERANCE = 1e-6
+UNREACHED = 2**62  # distance sentinel of the assignment's shortest paths
 
 PLAN_FORMAT_VERSION = 1
 
@@ -131,12 +132,97 @@ def clustering_objective(
     return 0.5 * float(np.sum(diff * diff))
 
 
+def _cheapest_moves(
+    scaled: np.ndarray, assignment: np.ndarray, clusters: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cheapest single-client move out of each of the sorted ``clusters``.
+
+    Returns ``(swap, mover)``, both ``(len(clusters), L)``: ``swap[i, b]`` is
+    the least ``scaled[j, b] - scaled[j, a]`` over the members ``j`` of
+    ``a = clusters[i]``, and ``mover[i, b]`` the lowest client id attaining
+    it. Where ``a`` is empty, ``swap`` is ``UNREACHED`` and ``mover`` is -1.
+    """
+    num_points, num_clusters = scaled.shape
+    chosen = np.zeros(num_clusters, dtype=bool)
+    chosen[clusters] = True
+    members = np.flatnonzero(chosen[assignment])
+    owner = assignment[members]
+    order = np.argsort(owner, kind="stable")  # grouped by cluster, ids ascending
+    members, owner = members[order], owner[order]
+    sizes = np.bincount(owner, minlength=num_clusters)[clusters]
+    occupied = sizes > 0
+    starts = (np.cumsum(sizes) - sizes)[occupied]
+
+    delta = scaled[members] - scaled[members, owner][:, None]
+    least = np.minimum.reduceat(delta, starts, axis=0)
+    attains = delta == np.repeat(least, sizes[occupied], axis=0)
+    ids = np.where(attains, members[:, None], num_points)
+
+    swap = np.full((len(clusters), num_clusters), UNREACHED, dtype=np.int64)
+    mover = np.full((len(clusters), num_clusters), -1, dtype=np.int64)
+    swap[occupied] = least
+    mover[occupied] = np.minimum.reduceat(ids, starts, axis=0)
+    return swap, mover
+
+
+def _cheapest_path(swap: np.ndarray, excess: np.ndarray) -> list[int]:
+    """Cheapest chain of moves from an over-full to an under-full cluster.
+
+    Bellman-Ford over the L clusters with ``swap`` as edge costs, from
+    distance 0 at every over-full cluster; it ends at the nearest under-full
+    cluster (lowest index on ties). Only clusters whose distance fell in the
+    previous pass are relaxed again. The zero-cost edge ``a -> a`` never
+    lowers a distance, so it needs no masking.
+    """
+    num_clusters = len(excess)
+    dist = np.where(excess > 0, 0, UNREACHED)
+    pred = np.full(num_clusters, -1)
+    frontier = np.flatnonzero(excess > 0)
+    for _ in range(num_clusters):
+        via = dist[frontier, None] + swap[frontier]
+        tail = via.argmin(axis=0)
+        best = via[tail, np.arange(num_clusters)]
+        better = best < dist
+        if not better.any():
+            break
+        dist[better] = best[better]
+        pred[better] = frontier[tail[better]]
+        frontier = np.flatnonzero(better)
+    else:
+        raise RuntimeError("negative cycle in the balanced-assignment cluster graph")
+    under = np.flatnonzero(excess < 0)
+    target = under[np.argmin(dist[under])]
+    if dist[target] == UNREACHED:
+        raise RuntimeError("no under-full cluster is reachable")
+    path = [int(target)]
+    while pred[path[-1]] >= 0:
+        path.append(int(pred[path[-1]]))
+    return path[::-1]
+
+
 def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Optimal equal-size assignment of points to the given centroids.
 
-    Solved exactly as a min-cost flow on the bipartite graph point -> cluster
-    with arc cost ``round(0.5 * ||point - centroid||^2 * 1e6)`` (half-to-even),
-    unit supplies and per-cluster demand ``len(points) / len(centroids)``.
+    Exact on the integer costs ``round(0.5 * ||point - centroid||^2 * 1e6)``
+    (half-to-even) with ``len(points) / len(centroids)`` members per cluster.
+    Successive shortest paths on the L-node cluster graph: every point starts
+    at its cheapest cluster, then while a cluster is over its quota, one point
+    moves along each edge of a cheapest path from an over-full to an
+    under-full cluster. The edge ``a -> b`` costs the least extra cost of
+    moving one member of ``a`` to ``b``. Starting from the unconstrained
+    optimum leaves no negative cycle, and shortest-path moves keep it so, which
+    makes the final assignment optimal.
+
+    Ties break by a fixed rule, so repeated calls return identical arrays: a
+    point starts at its cheapest cluster of lowest index, an edge moves its
+    member of lowest id, and a path ends at the nearest under-full cluster of
+    lowest index.
+
+    Raises:
+        ValueError: If the points cannot fill the clusters equally.
+        OverflowError: If path costs could leave the signed 64-bit range.
+        RuntimeError: If Bellman-Ford finds a negative cycle or no reachable
+            under-full cluster; neither can happen on a well-formed input.
     """
     num_points, num_clusters = len(points), len(centroids)
     if num_points % num_clusters != 0:
@@ -147,24 +233,26 @@ def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
     diff = points[:, None, :] - centroids[None, :, :]
     cost = 0.5 * np.sum(diff * diff, axis=-1)
+    # Path costs then stay below UNREACHED // 4 in magnitude, so adding the
+    # sentinel cannot overflow and no real distance reaches it.
+    if float(cost.max()) * COST_SCALE * num_clusters >= UNREACHED // 4:
+        raise OverflowError("assignment costs exceed the signed 64-bit range")
     scaled = np.rint(cost * COST_SCALE).astype(np.int64)
 
-    arcs = [
-        (k, num_points + l, 1, int(scaled[k, l]))
-        for k in range(num_points)
-        for l in range(num_clusters)
-    ]
-    supplies = [1] * num_points + [-quota] * num_clusters
-    solution = mcf.solve(
-        mcf.FlowNetwork(
-            node_count=num_points + num_clusters,
-            arcs=tuple(arcs),
-            supplies=tuple(supplies),
-        )
-    )
-    if solution.status != mcf.STATUS_OPTIMAL:
-        raise RuntimeError("balanced assignment network must be feasible")
-    return solution.flows.reshape(num_points, num_clusters).argmax(axis=1)
+    assignment = scaled.argmin(axis=1)
+    excess = np.bincount(assignment, minlength=num_clusters) - quota
+    swap = np.empty((num_clusters, num_clusters), dtype=np.int64)
+    mover = np.empty((num_clusters, num_clusters), dtype=np.int64)
+    touched = np.arange(num_clusters)
+    while excess.max() > 0:
+        swap[touched], mover[touched] = _cheapest_moves(scaled, assignment, touched)
+        path = _cheapest_path(swap, excess)
+        for a, b in zip(path, path[1:]):
+            assignment[mover[a, b]] = b
+        excess[path[0]] -= 1
+        excess[path[-1]] += 1
+        touched = np.sort(path)
+    return assignment
 
 
 def cluster_update(points: np.ndarray, assignment: np.ndarray) -> np.ndarray:
@@ -190,8 +278,8 @@ def constrained_cluster(
 
     Centroids start at ``cluster_count`` distinct points chosen by seeded
     sampling. The returned history interleaves the objective after each
-    assignment and each update step; it is non-increasing up to the cost
-    quantization of the flow solver.
+    assignment and each update step; it is non-increasing up to the 1e-6 cost
+    quantization of the assignment step.
     """
     init = generator(seed, "centroid-init").choice(
         len(points), size=cluster_count, replace=False

@@ -1,4 +1,8 @@
-"""Exact minimum-cost flow, used as the assignment engine for balanced clustering.
+"""Exact minimum-cost flow: the reference oracle for balanced assignment.
+
+``grouping.cluster_assignment`` solves its transportation problem directly on
+the cluster graph; the tests check its cost against this general solver on
+the same integer costs.
 
 Successive shortest paths with node potentials: augment along a cheapest
 residual path from a super-source to a super-sink until all supply is routed,

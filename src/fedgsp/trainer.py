@@ -80,7 +80,7 @@ class ModelParams:
         object.__setattr__(
             self, "layout", tuple((name, tuple(shape)) for name, shape in self.layout)
         )
-        expected = sum(int(np.prod(shape)) for _, shape in self.layout)
+        expected = sum(math.prod(shape) for _, shape in self.layout)
         if values.ndim != 1 or values.size != expected:
             raise ValueError(f"expected {expected} parameters, got {values.shape}")
         if not np.all(np.isfinite(values)):
@@ -122,7 +122,7 @@ def _split(values: np.ndarray, layout) -> dict[str, np.ndarray]:
     views = {}
     offset = 0
     for name, shape in layout:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         views[name] = values[offset : offset + size].reshape(shape)
         offset += size
     return views

@@ -45,8 +45,8 @@ SHARDS_K120 = {
     "model.kind": "softmax_linear",
 }
 GOLDEN_SHARDS_K120 = {
-    "rounds.csv": "e222db22d4d7b1f9502154f483b6b0ef860ab077dad57b532e21ef154dc86fa1",
-    "groupings.jsonl": "a1d09f37c8a6620fe6de8bbf20f72beb7a59ddd1b7de08b760455675b34753c1",
+    "rounds.csv": "e5f37999e2b2739d918262fa1de33b19550d5f1edd68cbbb155fb571b6be58f9",
+    "groupings.jsonl": "4c0b39c8b1ee1876e97f54b6f703df0771700f17ee3abc7d271bd6f31a75f6ca",
 }
 
 

@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedgsp.datagen import SyntheticTaskSpec, generate_task
 from fedgsp.grouping import (
+    COST_SCALE,
+    UNREACHED,
     GroupingPlan,
+    _cheapest_path,
     cluster_assignment,
     cluster_update,
     clustering_objective,
@@ -16,10 +20,13 @@ from fedgsp.grouping import (
     random_grouping,
     singleton_grouping,
 )
+from fedgsp.mcf import solve
 
-# Assignment-step optimality is exact only up to the 1e-6 cost quantization
-# of the flow solver; distances here are O(1) or larger, so this slack is
-# orders of magnitude below anything the tests compare.
+from test_mcf import bipartite_network
+
+# Assignment-step optimality is exact only up to the 1e-6 cost quantization;
+# distances here are O(1) or larger, so this slack is orders of magnitude
+# below anything the tests compare.
 QUANTIZATION_SLACK = 1e-5
 
 
@@ -78,6 +85,107 @@ class TestClusterAssignment:
     def test_indivisible_points_rejected(self):
         with pytest.raises(ValueError):
             cluster_assignment(np.zeros((5, 2)), np.zeros((2, 2)))
+
+
+def scaled_costs(points, centroids):
+    """The integer cost matrix that ``cluster_assignment`` optimizes."""
+    diff = points[:, None, :] - centroids[None, :, :]
+    return np.rint(0.5 * np.sum(diff * diff, axis=-1) * COST_SCALE).astype(np.int64)
+
+
+def assignment_cost(costs, assignment):
+    return int(costs[np.arange(len(assignment)), assignment].sum())
+
+
+class TestAssignmentAgainstOracles:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_cost_to_min_cost_flow(self, data):
+        num_points = data.draw(st.integers(1, 40), label="K")
+        divisors = [l for l in range(1, num_points + 1) if num_points % l == 0]
+        # L = 1 and L = K are drawn on purpose, not left to chance.
+        layout = data.draw(st.sampled_from(["L=1", "L=K", "any"]), label="layout")
+        if layout == "L=1":
+            num_clusters = 1
+        elif layout == "L=K":
+            num_clusters = num_points
+        else:
+            num_clusters = data.draw(st.sampled_from(divisors), label="L")
+        dim = data.draw(st.integers(1, 4), label="dim")
+        # A small pool of distinct rows makes duplicated points, as shard skew
+        # does, and with them many equal-cost optima.
+        pool = data.draw(st.integers(1, num_points), label="distinct rows")
+        rows = np.array(
+            data.draw(st.lists(st.lists(st.integers(0, 12), min_size=dim, max_size=dim),
+                               min_size=pool, max_size=pool), label="rows"),
+            dtype=float,
+        )
+        picks = data.draw(st.lists(st.integers(0, pool - 1), min_size=num_points,
+                                   max_size=num_points), label="picks")
+        points = rows[picks]
+        centroids = np.array(
+            data.draw(st.lists(st.lists(st.integers(0, 24), min_size=dim, max_size=dim),
+                               min_size=num_clusters, max_size=num_clusters),
+                      label="centroids"),
+            dtype=float,
+        ) / 2
+
+        assignment = cluster_assignment(points, centroids)
+        quota = num_points // num_clusters
+        assert np.bincount(assignment, minlength=num_clusters).tolist() == [quota] * num_clusters
+        costs = scaled_costs(points, centroids)
+        oracle = solve(bipartite_network(costs, [quota] * num_clusters))
+        assert oracle.status == "optimal"
+        assert assignment_cost(costs, assignment) == oracle.total_cost
+        assert np.array_equal(cluster_assignment(points, centroids), assignment)
+
+    @pytest.mark.parametrize("skew", ["dirichlet", "shards"])
+    @pytest.mark.parametrize("num_points,num_clusters", [(120, 15), (240, 60)])
+    def test_equal_cost_to_scipy_at_scale(self, skew, num_points, num_clusters):
+        from scipy.optimize import linear_sum_assignment
+
+        spec = SyntheticTaskSpec(
+            num_classes=10, num_clients=num_points, samples_per_client=50,
+            feature_dim=4, skew=skew, seed=num_clusters,
+        )
+        _, counts, _ = generate_task(spec)
+        points = counts.astype(float)
+        init = np.random.default_rng(num_points).choice(num_points, num_clusters, replace=False)
+        centroids = points[np.sort(init)]
+        assignment = cluster_assignment(points, centroids)
+
+        quota = num_points // num_clusters
+        costs = scaled_costs(points, centroids)
+        replicated = np.repeat(costs, quota, axis=1)  # one column per cluster seat
+        rows, seats = linear_sum_assignment(replicated)
+        assert np.bincount(assignment).tolist() == [quota] * num_clusters
+        assert assignment_cost(costs, assignment) == int(replicated[rows, seats].sum())
+
+    def test_ties_break_by_lowest_index(self):
+        # Six identical points, three identical centroids: every balanced
+        # assignment costs the same. All start at cluster 0 (lowest index);
+        # each move takes the lowest id left there and goes to the lowest
+        # under-full cluster, so ids 0, 1 fill cluster 1 and 2, 3 cluster 2.
+        points = np.zeros((6, 2))
+        centroids = np.ones((3, 2))
+        assert cluster_assignment(points, centroids).tolist() == [1, 1, 2, 2, 0, 0]
+
+    def test_path_search_guards(self):
+        # Cluster 0 is over-full and cluster 2 under-full. With no edges, 2 is
+        # unreachable; a negative cycle 0 -> 1 -> 0 never stops improving.
+        excess = np.array([1, 0, -1])
+        no_edges = np.full((3, 3), UNREACHED)
+        with pytest.raises(RuntimeError, match="reachable"):
+            _cheapest_path(no_edges, excess)
+        cycle = no_edges.copy()
+        cycle[0, 1] = cycle[1, 0] = -5
+        with pytest.raises(RuntimeError, match="negative cycle"):
+            _cheapest_path(cycle, excess)
+
+    def test_costs_beyond_int64_rejected(self):
+        points = np.array([[0.0], [1e9]])
+        with pytest.raises(OverflowError):
+            cluster_assignment(points, points[::-1].copy())
 
 
 class TestClusterUpdate:
