@@ -110,10 +110,10 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
-def _resolve_args_config(args) -> ResolvedRun:
+def _config_settings(args) -> tuple[dict[str, str], dict[str, str]]:
+    """The ``--config`` file's settings and the ``--set`` overrides."""
     settings = load_config_file(args.config)
-    overrides = dict(parse_override(item) for item in args.set or [])
-    return resolve(settings, overrides)
+    return settings, dict(parse_override(item) for item in args.set or [])
 
 
 def _execute_run(resolved: ResolvedRun, run_dir: Path, args) -> dict:
@@ -184,7 +184,7 @@ def _execute_run(resolved: ResolvedRun, run_dir: Path, args) -> dict:
 
 
 def cmd_run(args) -> int:
-    resolved = _resolve_args_config(args)
+    resolved = resolve(*_config_settings(args))
     name = args.name or Path(args.config).stem
     run_dir = _out_root(args) / name
     summary = _execute_run(resolved, run_dir, args)
@@ -202,8 +202,7 @@ def _first_round_pair_cpds(resolved: ResolvedRun):
 
 
 def cmd_ablation(args) -> int:
-    settings = load_config_file(args.config)
-    overrides = dict(parse_override(item) for item in args.set or [])
+    settings, overrides = _config_settings(args)
     # Without a fixed group count, freeze the naive arms at the growth
     # schedule's starting point. Every arm resolves before any of them runs.
     base = resolve(settings, {**overrides, "algorithm": "fedgsp"}).experiment
@@ -256,8 +255,7 @@ def _parse_list(raw: str, kind) -> list:
 
 
 def cmd_grid(args) -> int:
-    settings = load_config_file(args.config)
-    overrides = dict(parse_override(item) for item in args.set or [])
+    settings, overrides = _config_settings(args)
     kinds = _parse_list(args.kinds, str)
     alphas = _parse_list(args.alphas, float)
     betas = _parse_list(args.betas, int)

@@ -24,6 +24,7 @@ the value.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -112,11 +113,14 @@ def _coerce(key: str, kind: str, raw: str):
     try:
         if kind == "int":
             return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
+        if kind != "float":
+            return raw
+        value = float(raw)
     except ValueError:
         raise ConfigurationError(f"{key}: expected {kind}, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{key}: expected a finite float, got {raw!r}")
+    return value
 
 
 def resolve(settings: dict[str, str], overrides: dict[str, str] | None = None) -> ResolvedRun:

@@ -272,7 +272,6 @@ def constrained_cluster(
     cluster_count: int,
     seed: int,
     max_iterations: int = MAX_ALTERNATIONS,
-    tolerance: float = CENTROID_TOLERANCE,
 ) -> tuple[ClusterState, tuple[float, ...]]:
     """Alternate exact balanced assignment and centroid update until stable.
 
@@ -296,7 +295,7 @@ def constrained_cluster(
             np.sqrt(np.sum((updated - centroids) ** 2, axis=1)).max()
         )
         centroids = updated
-        if displacement < tolerance:
+        if displacement < CENTROID_TOLERANCE:
             break
     return ClusterState(centroids=centroids, assignment=assignment), tuple(history)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -49,7 +49,7 @@ GROWTH_KINDS = (GROWTH_LINEAR, GROWTH_LOG, GROWTH_EXP)
 _EXP_SATURATION = 700.0
 GROWTH_CAP = 2**62
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -166,9 +166,7 @@ class ExperimentState:
     counts: np.ndarray
     test_set: Dataset
     params: ModelParams
-    completed_rounds: int = 0
-    # Cumulative t_comp over completed_rounds.
-    t_comp_cum_s: float = 0.0
+    # Rounds 1..k so far; the run's only progress state.
     records: list[RoundRecord] = field(default_factory=list)
     # Diagnostics for tests and audit dumps; refreshed every round.
     last_plan: GroupingPlan | None = None
@@ -232,7 +230,7 @@ def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
     """Execute round ``round_index``, advance the state, and return its record.
 
     Rounds run in order: the record's ``t_comp_cum_s`` adds this round's cost
-    to the state's running sum.
+    to the last record's.
     """
     config = state.config
     plan = _build_plan(state, round_index)
@@ -252,7 +250,7 @@ def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
     else:
         median_cpd = 0.0
 
-    state.t_comp_cum_s += metrics.t_comp([plan.group_count], config.cost)
+    t_comp_before = state.records[-1].t_comp_cum_s if state.records else 0.0
     record = RoundRecord(
         round_index=round_index,
         group_count=plan.group_count,
@@ -260,11 +258,10 @@ def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
         accuracy=accuracy,
         loss=loss,
         median_group_cpd=median_cpd,
-        t_comp_cum_s=state.t_comp_cum_s,
+        t_comp_cum_s=t_comp_before + metrics.t_comp([plan.group_count], config.cost),
         t_comm_cum_s=metrics.t_comm(round_index, config.cost),
         d_comm_cum_mb=metrics.d_comm(round_index, config.cost),
     )
-    state.completed_rounds = round_index
     state.records.append(record)
     state.last_plan = plan
     state.last_sampled = tuple(int(g) for g in sampled)
@@ -272,21 +269,21 @@ def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
 
 
 def save_checkpoint(state: ExperimentState, path: str) -> None:
-    """Versioned JSON dump of (round, global params, PRNG cursor).
+    """Versioned JSON dump of (run seed, global params, round records).
 
     Sub-streams are derived statelessly from ``(run_seed, purpose, round)``,
-    so the seed plus the next round index is a complete PRNG cursor. The dump
-    goes to a temporary file that then replaces ``path``, so a failed write
-    leaves the previous checkpoint intact.
+    so the seed plus the record count is a complete PRNG cursor, and JSON
+    floats round-trip exactly. The dump goes to a temporary file that then
+    replaces ``path``, so a failed write leaves the previous checkpoint intact.
     """
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "round": state.completed_rounds,
         "run_seed": state.config.run_seed,
         "params": {
             "layout": [[name, list(shape)] for name, shape in state.params.layout],
             "values": state.params.values.tolist(),
         },
+        "records": [astuple(record) for record in state.records],
     }
     temporary = f"{path}.tmp"
     try:
@@ -298,8 +295,8 @@ def save_checkpoint(state: ExperimentState, path: str) -> None:
             os.remove(temporary)
 
 
-def load_checkpoint(path: str) -> tuple[int, int, ModelParams]:
-    """Read a checkpoint; returns (completed rounds, run seed, params)."""
+def load_checkpoint(path: str) -> tuple[list[RoundRecord], int, ModelParams]:
+    """Read a checkpoint; returns (records, run seed, params)."""
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     if payload.get("format_version") != CHECKPOINT_FORMAT_VERSION:
@@ -308,7 +305,7 @@ def load_checkpoint(path: str) -> tuple[int, int, ModelParams]:
         values=np.array(payload["params"]["values"], dtype=np.float64),
         layout=tuple((name, tuple(shape)) for name, shape in payload["params"]["layout"]),
     )
-    return int(payload["round"]), int(payload["run_seed"]), params
+    return [RoundRecord(*row) for row in payload["records"]], int(payload["run_seed"]), params
 
 
 def preflight(
@@ -316,13 +313,13 @@ def preflight(
     resume_from: str | None = None,
     checkpoint_path: str | None = None,
     checkpoint_every: int | None = None,
-) -> tuple[int, ModelParams] | None:
+) -> tuple[list[RoundRecord], ModelParams] | None:
     """Check the run arguments before anything runs or is written.
 
-    Returns the checkpoint's (completed rounds, params) when resuming, else
-    ``None``. Raises ``ConfigurationError`` for a bad checkpoint interval, a
-    checkpoint that cannot be read, or a checkpoint of another seed or model
-    layout.
+    Returns the checkpoint's (records, params) when resuming, else ``None``.
+    Raises ``ConfigurationError`` for a bad checkpoint interval, a checkpoint
+    that cannot be read, one of another seed or model layout, one whose
+    records are not rounds 1..k in order, or one past ``config.rounds``.
     """
     if checkpoint_every is not None:
         if checkpoint_every < 1:
@@ -332,7 +329,7 @@ def preflight(
     if resume_from is None:
         return None
     try:
-        completed, run_seed, params = load_checkpoint(resume_from)
+        records, run_seed, params = load_checkpoint(resume_from)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigurationError(
             f"cannot load checkpoint {resume_from}: {type(exc).__name__}: {exc}"
@@ -346,7 +343,11 @@ def preflight(
         raise ConfigurationError(
             f"checkpoint model layout {params.layout} does not match config layout {expected}"
         )
-    return completed, params
+    if [record.round_index for record in records] != list(range(1, len(records) + 1)):
+        raise ConfigurationError("checkpoint records are not rounds 1..k in order")
+    if len(records) > config.rounds:
+        raise ConfigurationError(f"checkpoint has {len(records)} rounds; rounds = {config.rounds}")
+    return records, params
 
 
 def run_experiment(
@@ -367,19 +368,15 @@ def run_experiment(
         on_round: Optional ``callback(state, record)`` invoked after each round.
 
     Returns:
-        The records of the rounds executed by this call and the final global
+        Every record of the run, restored ones included, and the final global
         model.
     """
     resumed = preflight(config, resume_from, checkpoint_path, checkpoint_every)
     state = new_experiment_state(config)
     if resumed is not None:
-        state.completed_rounds, state.params = resumed
-        state.t_comp_cum_s = metrics.t_comp(
-            [group_count_for_round(config, r) for r in range(1, state.completed_rounds + 1)],
-            config.cost,
-        )
+        state.records, state.params = resumed
 
-    for round_index in range(state.completed_rounds + 1, config.rounds + 1):
+    for round_index in range(len(state.records) + 1, config.rounds + 1):
         record = run_round(state, round_index)
         if on_round is not None:
             on_round(state, record)

@@ -172,6 +172,24 @@ class TestCmdRun:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "cost.model_size_megabytes=inf",
+            "growth.alpha=inf",
+            "task.concentration=inf",
+            "sgd.learning_rate=nan",
+            "kappa=-inf",
+        ],
+    )
+    def test_non_finite_float_is_config_error(self, tmp_path, config_path, capsys, setting):
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(config_path), "--out", str(out), "--set", setting])
+        assert code == 1
+        key, raw = setting.split("=")
+        assert f"{key}: expected a finite float, got {raw!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
 
@@ -232,9 +250,37 @@ class TestCmdRun:
             ]
         )
         assert code == 0
-        full_rows = read_rows(full / "smoke" / "rounds.csv")
-        resumed_rows = read_rows(resumed / "smoke" / "rounds.csv")
-        assert resumed_rows[1:] == full_rows[3:]
+        for name in ("rounds.csv", "summary.json"):
+            assert (resumed / "smoke" / name).read_bytes() == (full / "smoke" / name).read_bytes()
+
+    def test_resume_below_checkpoint_rounds_leaves_run_untouched(
+        self, tmp_path, config_path, capsys
+    ):
+        out = tmp_path / "out"
+        run = ["run", "--config", str(config_path), "--out", str(out)]
+        assert main(run + ["--set", "rounds=3", "--checkpoint-every", "3"]) == 0
+        run_dir = out / "smoke"
+        before = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+        resume = ["--resume", str(run_dir / "checkpoint.json")]
+        assert main(run + ["--set", "rounds=2"] + resume) == 1
+        assert "checkpoint has 3 rounds; rounds = 2" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
+
+    def test_format_one_checkpoint_is_config_error(self, tmp_path, config_path, capsys):
+        # Format 1 stored a round count in place of the round records.
+        run = ["run", "--config", str(config_path)]
+        part = tmp_path / "part"
+        assert main(run + ["--out", str(part), "--checkpoint-every", "2"]) == 0
+        checkpoint = tmp_path / "format1.json"
+        payload = json.loads((part / "smoke" / "checkpoint.json").read_text())
+        payload["format_version"] = 1
+        payload["round"] = len(payload.pop("records"))
+        checkpoint.write_text(json.dumps(payload))
+        resumed = tmp_path / "resumed"
+        resume = ["--out", str(resumed), "--set", "rounds=4", "--resume", str(checkpoint)]
+        assert main(run + resume) == 1
+        assert f"cannot load checkpoint {checkpoint}" in capsys.readouterr().err
+        assert not resumed.exists()
 
     @pytest.mark.parametrize("every", ["0", "-2"])
     def test_non_positive_checkpoint_every_rejected(self, tmp_path, config_path, capsys, every):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -46,6 +47,10 @@ def make_config(**kwargs):
     )
     base.update(kwargs)
     return ExperimentConfig(**base)
+
+
+def record_bytes(records):
+    return np.array([astuple(r) for r in records], dtype=np.float64).tobytes()
 
 
 class TestGrowthEval:
@@ -158,7 +163,6 @@ class TestRunRound:
         assert record.sampled_groups == max(1, math.floor(0.5 * 2 + 0.5))
         assert 0.0 <= record.accuracy <= 1.0
         assert record.loss > 0.0
-        assert state.completed_rounds == 1
         assert state.records == [record]
 
     def test_sample_floor_is_one_group(self):
@@ -283,13 +287,51 @@ class TestRunExperiment:
         checkpoint = tmp_path / "checkpoint.json"
         half = make_config(rounds=3)
         run_experiment(half, checkpoint_path=str(checkpoint), checkpoint_every=3)
-        completed, run_seed, params = load_checkpoint(str(checkpoint))
-        assert completed == 3
+        records, run_seed, params = load_checkpoint(str(checkpoint))
+        assert len(records) == 3
         assert run_seed == config.run_seed
 
         resumed, resumed_params = run_experiment(config, resume_from=str(checkpoint))
-        assert resumed == straight[3:]
+        assert resumed == straight
         assert np.array_equal(resumed_params.values, straight_params.values)
+
+    @pytest.mark.parametrize(
+        "arm",
+        [
+            {"algorithm": "fedgsp"},
+            {"algorithm": "naive_gsp", "fixed_group_count": 3},
+            {"algorithm": "naive_gsp_icg", "fixed_group_count": 3},
+            {"algorithm": "fedavg"},
+        ],
+        ids=lambda arm: arm["algorithm"],
+    )
+    def test_resume_from_any_round_matches_straight_run(self, tmp_path, arm):
+        straight, straight_params = run_experiment(make_config(rounds=5, **arm))
+        for stop in (1, 3, 5):
+            checkpoint = tmp_path / f"after-{stop}.json"
+            run_experiment(
+                make_config(rounds=stop, **arm),
+                checkpoint_path=str(checkpoint),
+                checkpoint_every=stop,
+            )
+            resumed, params = run_experiment(
+                make_config(rounds=5, **arm), resume_from=str(checkpoint)
+            )
+            assert record_bytes(resumed) == record_bytes(straight)
+            assert params.values.tobytes() == straight_params.values.tobytes()
+
+    @pytest.mark.parametrize("indices", [[1, 3], [2, 1], [0, 1], [2, 3]])
+    def test_resume_rejects_records_out_of_order(self, tmp_path, indices):
+        checkpoint = tmp_path / "ck.json"
+        run_experiment(
+            make_config(rounds=2), checkpoint_path=str(checkpoint), checkpoint_every=2
+        )
+        payload = json.loads(checkpoint.read_text())
+        for row, index in zip(payload["records"], indices):
+            row[0] = index
+        checkpoint.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match="not rounds 1..k in order"):
+            run_experiment(make_config(rounds=4), resume_from=str(checkpoint))
 
     def test_t_comp_running_sum_matches_full_recount(self):
         # Bitwise: the per-round running sum adds in the same order as t_comp
@@ -324,7 +366,7 @@ class TestRunExperiment:
             save_checkpoint(state, str(path))
         monkeypatch.undo()
         assert path.read_bytes() == before
-        assert load_checkpoint(str(path))[0] == 1
+        assert len(load_checkpoint(str(path))[0]) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
 
     def test_checkpoint_seed_mismatch_rejected(self, tmp_path):
