@@ -126,7 +126,7 @@ def _execute_run(resolved: ResolvedRun, run_dir: Path, args) -> dict:
     checkpoint_path = (
         str(run_dir / "checkpoint.json") if checkpoint_every is not None else None
     )
-    preflight(resolved.experiment, resume_from, checkpoint_path, checkpoint_every)
+    resumed = preflight(resolved.experiment, resume_from, checkpoint_path, checkpoint_every)
 
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = run_dir / "manifest.json"
@@ -155,6 +155,13 @@ def _execute_run(resolved: ResolvedRun, run_dir: Path, args) -> dict:
             grouping_dump.write("\n")
 
     try:
+        if grouping_dump is not None and resumed is not None:
+            # Plans are a pure function of (config, round), and the
+            # checkpoint's config is this one: re-derive the restored rounds.
+            state = new_experiment_state(resolved.experiment)
+            for round_index in range(1, len(resumed[0]) + 1):
+                grouping_dump.write(_build_plan(state, round_index).to_json())
+                grouping_dump.write("\n")
         records, _ = run_experiment(
             resolved.experiment,
             resume_from=resume_from,

@@ -24,6 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 # 1 - exp(-||e_c - e_d||^2 / (2 sigma^2)) for distinct one-hot classes, sigma = 1.
 _KERNEL_SCALE = 1.0 - math.exp(-1.0)
 
@@ -63,7 +65,22 @@ class CostModelParams:
             "outbound_megabits_per_second",
         ):
             if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive, got {getattr(self, name)}")
+                raise ConfigurationError(
+                    f"{name} must be strictly positive, got {getattr(self, name)}"
+                )
+        # One round's costs, at the extremes of M: t_comp's training term
+        # peaks at M = 1, its aggregation term at M = K.
+        costs = [
+            t_comp([1], self),
+            t_comp([self.num_clients], self),
+            t_comm(1, self),
+            d_comm(1, self),
+        ]
+        if not all(map(math.isfinite, costs)):
+            raise ConfigurationError(
+                "cost constants give a non-finite one-round cost "
+                f"(t_comp at M = 1 and M = K, t_comm, d_comm): {costs}"
+            )
 
 
 def _pair_squared_distances(distributions) -> np.ndarray:

@@ -16,6 +16,8 @@ sampled groups) into the next global model.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -49,7 +51,7 @@ GROWTH_KINDS = (GROWTH_LINEAR, GROWTH_LOG, GROWTH_EXP)
 _EXP_SATURATION = 700.0
 GROWTH_CAP = 2**62
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -74,21 +76,25 @@ def growth_eval(growth: GrowthFunction, round_index: int) -> int:
 
     linear: beta * floor(alpha * (r - 1) + 1)
     log:    beta * floor(alpha * ln(r) + 1)
-    exp:    beta * floor((1 + alpha) ** (r - 1)), saturating instead of
-            overflowing; callers cap the result at the client count.
+    exp:    beta * floor((1 + alpha) ** (r - 1))
+
+    All three saturate at ``GROWTH_CAP`` instead of overflowing; callers cap
+    the result at the client count.
     """
     if round_index < 1:
         raise ValueError(f"round_index must be >= 1, got {round_index}")
-    if growth.kind == GROWTH_LINEAR:
-        inner = math.floor(growth.alpha * (round_index - 1) + 1.0)
-    elif growth.kind == GROWTH_LOG:
-        inner = math.floor(growth.alpha * math.log(round_index) + 1.0)
-    else:
+    if growth.kind == GROWTH_EXP:
         exponent = (round_index - 1) * math.log1p(growth.alpha)
         if exponent >= _EXP_SATURATION:
             return GROWTH_CAP
-        inner = math.floor((1.0 + growth.alpha) ** (round_index - 1))
-    return growth.beta * inner
+        return growth.beta * math.floor((1.0 + growth.alpha) ** (round_index - 1))
+    if growth.kind == GROWTH_LINEAR:
+        inner = growth.alpha * (round_index - 1) + 1.0
+    else:
+        inner = growth.alpha * math.log(round_index) + 1.0
+    if not inner < GROWTH_CAP:  # inf included
+        return GROWTH_CAP
+    return growth.beta * math.floor(inner)
 
 
 @dataclass
@@ -268,21 +274,25 @@ def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
     return record
 
 
-def save_checkpoint(state: ExperimentState, path: str) -> None:
-    """Versioned JSON dump of (run seed, global params, round records).
+def config_fingerprint(config: ExperimentConfig) -> str:
+    """SHA-256 hex of every setting of the run except its length, ``rounds``."""
+    settings = {k: v for k, v in dataclasses.asdict(config).items() if k != "rounds"}
+    return hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()
 
-    Sub-streams are derived statelessly from ``(run_seed, purpose, round)``,
-    so the seed plus the record count is a complete PRNG cursor, and JSON
-    floats round-trip exactly. The dump goes to a temporary file that then
-    replaces ``path``, so a failed write leaves the previous checkpoint intact.
+
+def save_checkpoint(state: ExperimentState, path: str) -> None:
+    """Versioned JSON dump of (config fingerprint, global params, round records).
+
+    The config regenerates everything else: the task, the parameter layout,
+    and every PRNG sub-stream, which is derived statelessly from
+    ``(run_seed, purpose, round)``. JSON floats round-trip exactly. The dump
+    goes to a temporary file that then replaces ``path``, so a failed write
+    leaves the previous checkpoint intact.
     """
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
-        "run_seed": state.config.run_seed,
-        "params": {
-            "layout": [[name, list(shape)] for name, shape in state.params.layout],
-            "values": state.params.values.tolist(),
-        },
+        "config": config_fingerprint(state.config),
+        "values": state.params.values.tolist(),
         "records": [astuple(record) for record in state.records],
     }
     temporary = f"{path}.tmp"
@@ -295,17 +305,14 @@ def save_checkpoint(state: ExperimentState, path: str) -> None:
             os.remove(temporary)
 
 
-def load_checkpoint(path: str) -> tuple[list[RoundRecord], int, ModelParams]:
-    """Read a checkpoint; returns (records, run seed, params)."""
+def load_checkpoint(path: str) -> tuple[list[RoundRecord], str, np.ndarray]:
+    """Read a checkpoint; returns (records, config fingerprint, parameter values)."""
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     if payload.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format: {payload.get('format_version')}")
-    params = ModelParams(
-        values=np.array(payload["params"]["values"], dtype=np.float64),
-        layout=tuple((name, tuple(shape)) for name, shape in payload["params"]["layout"]),
-    )
-    return [RoundRecord(*row) for row in payload["records"]], int(payload["run_seed"]), params
+    values = np.array(payload["values"], dtype=np.float64)
+    return [RoundRecord(*row) for row in payload["records"]], payload["config"], values
 
 
 def preflight(
@@ -318,8 +325,9 @@ def preflight(
 
     Returns the checkpoint's (records, params) when resuming, else ``None``.
     Raises ``ConfigurationError`` for a bad checkpoint interval, a checkpoint
-    that cannot be read, one of another seed or model layout, one whose
-    records are not rounds 1..k in order, or one past ``config.rounds``.
+    that cannot be read, one written under a config that differs in anything
+    but ``rounds``, one whose records are not rounds 1..k in order, or one
+    past ``config.rounds``.
     """
     if checkpoint_every is not None:
         if checkpoint_every < 1:
@@ -329,20 +337,19 @@ def preflight(
     if resume_from is None:
         return None
     try:
-        records, run_seed, params = load_checkpoint(resume_from)
+        records, fingerprint, values = load_checkpoint(resume_from)
+        if fingerprint != config_fingerprint(config):
+            raise ConfigurationError(
+                f"checkpoint {resume_from} was written under another config; "
+                "only rounds may change on resume"
+            )
+        params = ModelParams(values, init_model(config.model).layout)
+    except ConfigurationError:
+        raise
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigurationError(
             f"cannot load checkpoint {resume_from}: {type(exc).__name__}: {exc}"
         ) from None
-    if run_seed != config.run_seed:
-        raise ConfigurationError(
-            f"checkpoint seed {run_seed} does not match config seed {config.run_seed}"
-        )
-    expected = init_model(config.model).layout
-    if params.layout != expected:
-        raise ConfigurationError(
-            f"checkpoint model layout {params.layout} does not match config layout {expected}"
-        )
     if [record.round_index for record in records] != list(range(1, len(records) + 1)):
         raise ConfigurationError("checkpoint records are not rounds 1..k in order")
     if len(records) > config.rounds:

@@ -77,9 +77,6 @@ class ModelParams:
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
-        object.__setattr__(
-            self, "layout", tuple((name, tuple(shape)) for name, shape in self.layout)
-        )
         expected = sum(math.prod(shape) for _, shape in self.layout)
         if values.ndim != 1 or values.size != expected:
             raise ValueError(f"expected {expected} parameters, got {values.shape}")

@@ -1,9 +1,16 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fedgsp.orchestrator
 from fedgsp.cli import main
@@ -15,7 +22,7 @@ from fedgsp.config import (
 )
 from fedgsp.errors import ConfigurationError, TrainingDivergedError
 from fedgsp.metrics import cpd
-from fedgsp.orchestrator import _build_plan, new_experiment_state
+from fedgsp.orchestrator import ALGORITHMS, GROWTH_KINDS, _build_plan, new_experiment_state
 
 BASE_CONFIG = """\
 # desk-scale smoke config
@@ -31,6 +38,15 @@ growth.kind = log
 growth.alpha = 2
 growth.beta = 2
 """
+
+COST_KEYS = (
+    "cost.calc_flops_per_sample",
+    "cost.aggregation_flops",
+    "cost.device_flops_per_second",
+    "cost.model_size_megabytes",
+    "cost.inbound_megabits_per_second",
+    "cost.outbound_megabits_per_second",
+)
 
 
 @pytest.fixture()
@@ -190,6 +206,63 @@ class TestCmdRun:
         assert f"{key}: expected a finite float, got {raw!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "cost.model_size_megabytes=0",
+            "cost.device_flops_per_second=-1",
+            "kappa=0",
+            "cost.device_flops_per_second=1e-320",
+            "cost.model_size_megabytes=1e308",
+        ],
+    )
+    def test_bad_cost_constant_is_config_error(self, tmp_path, config_path, capsys, setting):
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(config_path), "--out", str(out), "--set", setting])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_config_boundary_fuzz(self, data):
+        # Either a config error with no run directory, or a completed run
+        # with finite rows; never a runtime failure.
+        num_clients = data.draw(st.integers(2, 12), label="K")
+        drawn = {
+            "algorithm": data.draw(st.sampled_from(ALGORITHMS)),
+            "rounds": data.draw(st.integers(0, 3)),
+            "task.num_clients": num_clients,
+            "task.samples_per_client": data.draw(st.integers(1, 10)),
+            "fixed_group_count": data.draw(st.integers(0, 2 * num_clients + 1)),
+            "growth.kind": data.draw(st.sampled_from(GROWTH_KINDS)),
+            "growth.alpha": data.draw(st.floats(0.0, 1e308)),
+            "growth.beta": data.draw(st.integers(1, 4)),
+            "kappa": data.draw(st.sampled_from([0.5, 1.0, 5e-324, 1e-9, 0.0, 1.0 + 2**-52])),
+            data.draw(st.sampled_from(COST_KEYS)): data.draw(
+                st.sampled_from([1e-320, 1.0, 1e308])
+            ),
+        }
+        overrides = [("--set", f"{key}={value}") for key, value in drawn.items()]
+        with tempfile.TemporaryDirectory() as root:
+            config = Path(root) / "fuzz.cfg"
+            config.write_text(BASE_CONFIG)
+            out = Path(root) / "out"
+            argv = ["run", "--config", str(config), "--out", str(out)]
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main(argv + [arg for pair in overrides for arg in pair])
+            assert code in (0, 1), stderr.getvalue()
+            if code == 1:
+                assert "config error" in stderr.getvalue()
+                assert not out.exists()
+                return
+            manifest = json.loads((out / "fuzz" / "manifest.json").read_text())
+            assert manifest["status"] == "completed"
+            rows = read_rows(out / "fuzz" / "rounds.csv")[1:]
+            assert len(rows) == drawn["rounds"]
+            assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 1
 
@@ -219,38 +292,16 @@ class TestCmdRun:
 
     def test_checkpoint_and_resume(self, tmp_path, config_path):
         full = tmp_path / "full"
-        main(["run", "--config", str(config_path), "--out", str(full), "--set", "rounds=4"])
+        run = ["run", "--config", str(config_path), "--dump-groupings"]
+        main(run + ["--out", str(full), "--set", "rounds=4"])
 
         part = tmp_path / "part"
-        main(
-            [
-                "run",
-                "--config",
-                str(config_path),
-                "--out",
-                str(part),
-                "--set",
-                "rounds=2",
-                "--checkpoint-every",
-                "2",
-            ]
-        )
+        main(run + ["--out", str(part), "--set", "rounds=2", "--checkpoint-every", "2"])
         resumed = tmp_path / "resumed"
-        code = main(
-            [
-                "run",
-                "--config",
-                str(config_path),
-                "--out",
-                str(resumed),
-                "--set",
-                "rounds=4",
-                "--resume",
-                str(part / "smoke" / "checkpoint.json"),
-            ]
-        )
+        resume = ["--resume", str(part / "smoke" / "checkpoint.json")]
+        code = main(run + ["--out", str(resumed), "--set", "rounds=4"] + resume)
         assert code == 0
-        for name in ("rounds.csv", "summary.json"):
+        for name in ("rounds.csv", "summary.json", "groupings.jsonl"):
             assert (resumed / "smoke" / name).read_bytes() == (full / "smoke" / name).read_bytes()
 
     def test_resume_below_checkpoint_rounds_leaves_run_untouched(
@@ -308,28 +359,44 @@ class TestCmdRun:
         assert f"cannot load checkpoint {checkpoint}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_resume_with_other_seed_leaves_run_untouched(self, tmp_path, config_path):
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            ["seed=4"],
+            ["model.kind=mlp_one_hidden"],
+            ["algorithm=naive_gsp_icg", "fixed_group_count=2"],
+            ["sgd.learning_rate=0.5"],
+            ["task.concentration=5"],
+            ["kappa=1.0"],
+            ["growth.beta=1"],
+            ["cost.device_flops_per_second=1e9"],
+        ],
+        ids=lambda changed: changed[0].split("=")[0].replace(".", "-"),
+    )
+    def test_resume_with_other_setting_leaves_run_untouched(
+        self, tmp_path, config_path, capsys, changed
+    ):
         out = tmp_path / "out"
         run = ["run", "--config", str(config_path), "--out", str(out)]
         assert main(run + ["--checkpoint-every", "2"]) == 0
         run_dir = out / "smoke"
         before = {name: (run_dir / name).read_bytes() for name in ("manifest.json", "rounds.csv")}
+        overrides = [arg for setting in changed + ["rounds=4"] for arg in ("--set", setting)]
         resume = ["--resume", str(run_dir / "checkpoint.json")]
-        code = main(run + ["--set", "seed=4", "--set", "rounds=4"] + resume)
-        assert code == 1
+        assert main(run + overrides + resume) == 1
+        assert "only rounds may change on resume" in capsys.readouterr().err
         assert {name: (run_dir / name).read_bytes() for name in before} == before
 
-    def test_resume_with_other_model_leaves_run_untouched(self, tmp_path, config_path, capsys):
+    def test_resume_with_other_rounds_and_target_accuracy(self, tmp_path, config_path):
         out = tmp_path / "out"
         run = ["run", "--config", str(config_path), "--out", str(out)]
         assert main(run + ["--checkpoint-every", "2"]) == 0
-        run_dir = out / "smoke"
-        before = {name: (run_dir / name).read_bytes() for name in ("manifest.json", "rounds.csv")}
-        resume = ["--resume", str(run_dir / "checkpoint.json")]
-        code = main(run + ["--set", "model.kind=mlp_one_hidden", "--set", "rounds=4"] + resume)
-        assert code == 1
-        assert "model layout" in capsys.readouterr().err
-        assert {name: (run_dir / name).read_bytes() for name in before} == before
+        resume = ["--resume", str(out / "smoke" / "checkpoint.json")]
+        others = ["--set", "rounds=3", "--set", "target_accuracy=0.1"]
+        assert main(run + others + resume) == 0
+        assert len(read_rows(out / "smoke" / "rounds.csv")) == 4
+        summary = json.loads((out / "smoke" / "summary.json").read_text())
+        assert summary["target_accuracy"] == 0.1
 
     def test_training_divergence_marks_manifest_failed(
         self, tmp_path, config_path, monkeypatch

@@ -12,6 +12,7 @@ from fedgsp.orchestrator import (
     GROWTH_CAP,
     ExperimentConfig,
     GrowthFunction,
+    config_fingerprint,
     group_count_for_round,
     growth_eval,
     load_checkpoint,
@@ -90,6 +91,12 @@ class TestGrowthEval:
     def test_exp_saturates_instead_of_overflowing(self):
         growth = GrowthFunction("exp", 1e4, 7)
         assert growth_eval(growth, 100) == GROWTH_CAP
+
+    @pytest.mark.parametrize("kind", ["linear", "log", "exp"])
+    def test_huge_alpha_saturates_instead_of_overflowing(self, kind):
+        growth = GrowthFunction(kind, 1e308, 3)
+        values = [growth_eval(growth, r) for r in range(1, 101)]
+        assert values == [3] + [GROWTH_CAP] * 99
 
     def test_rejects_round_zero(self):
         with pytest.raises(ValueError):
@@ -287,9 +294,9 @@ class TestRunExperiment:
         checkpoint = tmp_path / "checkpoint.json"
         half = make_config(rounds=3)
         run_experiment(half, checkpoint_path=str(checkpoint), checkpoint_every=3)
-        records, run_seed, params = load_checkpoint(str(checkpoint))
+        records, fingerprint, _ = load_checkpoint(str(checkpoint))
         assert len(records) == 3
-        assert run_seed == config.run_seed
+        assert fingerprint == config_fingerprint(config)
 
         resumed, resumed_params = run_experiment(config, resume_from=str(checkpoint))
         assert resumed == straight
