@@ -19,7 +19,15 @@ from .orchestrator import (
     run_experiment,
     run_round,
 )
-from .trainer import ModelParams, ModelSpec, SgdConfig, evaluate, init_model, train_one_client
+from .trainer import (
+    ModelParams,
+    ModelSpec,
+    SgdConfig,
+    evaluate,
+    init_model,
+    train_chains,
+    train_one_client,
+)
 
 __all__ = [
     "CostModelParams",
@@ -47,5 +55,6 @@ __all__ = [
     "run_round",
     "t_comm",
     "t_comp",
+    "train_chains",
     "train_one_client",
 ]

@@ -33,6 +33,7 @@ from .orchestrator import (
     new_experiment_state,
     preflight,
     run_experiment,
+    run_rounds,
 )
 
 OUT_ROOT_ENV = "FEDGSP_OUT_ROOT"
@@ -126,7 +127,7 @@ def _execute_run(resolved: ResolvedRun, run_dir: Path, args) -> dict:
     checkpoint_path = (
         str(run_dir / "checkpoint.json") if checkpoint_every is not None else None
     )
-    resumed = preflight(resolved.experiment, resume_from, checkpoint_path, checkpoint_every)
+    state = preflight(resolved.experiment, resume_from, checkpoint_path, checkpoint_every)
 
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = run_dir / "manifest.json"
@@ -155,20 +156,13 @@ def _execute_run(resolved: ResolvedRun, run_dir: Path, args) -> dict:
             grouping_dump.write("\n")
 
     try:
-        if grouping_dump is not None and resumed is not None:
+        if grouping_dump is not None:
             # Plans are a pure function of (config, round), and the
             # checkpoint's config is this one: re-derive the restored rounds.
-            state = new_experiment_state(resolved.experiment)
-            for round_index in range(1, len(resumed[0]) + 1):
+            for round_index in range(1, len(state.records) + 1):
                 grouping_dump.write(_build_plan(state, round_index).to_json())
                 grouping_dump.write("\n")
-        records, _ = run_experiment(
-            resolved.experiment,
-            resume_from=resume_from,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=checkpoint_every,
-            on_round=on_round,
-        )
+        run_rounds(state, checkpoint_path, checkpoint_every, on_round)
     except Exception as exc:
         manifest["status"] = "failed"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
@@ -179,9 +173,9 @@ def _execute_run(resolved: ResolvedRun, run_dir: Path, args) -> dict:
         if grouping_dump is not None:
             grouping_dump.close()
 
-    _write_rounds_csv(csv_path, records)
+    _write_rounds_csv(csv_path, state.records)
     summary = _summary(
-        [(r.round_index, r.accuracy, r.loss) for r in records], resolved.target_accuracy
+        [(r.round_index, r.accuracy, r.loss) for r in state.records], resolved.target_accuracy
     )
     _write_json(summary_path, summary)
     manifest["status"] = "completed"

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .metrics import CostModelParams
-from .orchestrator import ExperimentConfig, GrowthFunction
+from .orchestrator import ExperimentConfig, GrowthFunction, validate_kappa
 from .rng import stream_id
 from .datagen import SyntheticTaskSpec
 from .trainer import ModelSpec, SgdConfig
@@ -174,6 +174,8 @@ def resolve(settings: dict[str, str], overrides: dict[str, str] | None = None) -
         alpha=values["growth.alpha"],
         beta=values["growth.beta"],
     )
+    # Before the cost model, which would name kappa by its own field name.
+    validate_kappa(values["kappa"])
     cost = CostModelParams(
         samples_per_client=task.samples_per_client,
         num_clients=task.num_clients,

@@ -9,9 +9,12 @@ knobs: where the round's group count comes from, and how groups are formed.
     fedavg         one group per client (chains of length 1)
 
 Each round: regroup, sample a fraction kappa of the groups, seed every
-sampled group's chain with the current global model, train the chain
-client-by-client, and average the chain outputs (divided by the number of
-sampled groups) into the next global model.
+sampled group's chain with the current global model, train the chains, and
+average the chain outputs (divided by the number of sampled groups) into the
+next global model. Inside a chain the clients train one after another; the
+sampled chains advance in lockstep, as one stacked update per step
+(``trainer.train_chains``), with each chain's result bit-identical to
+training it alone.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .grouping import (
 )
 from .metrics import CostModelParams
 from .rng import generator, stream_id
-from .trainer import ModelParams, ModelSpec, SgdConfig, evaluate, init_model, train_one_client
+from .trainer import ModelParams, ModelSpec, SgdConfig, evaluate, init_model, train_chains
 
 ALGORITHMS = ("fedgsp", "naive_gsp", "naive_gsp_icg", "fedavg")
 
@@ -97,6 +100,12 @@ def growth_eval(growth: GrowthFunction, round_index: int) -> int:
     return growth.beta * math.floor(inner)
 
 
+def validate_kappa(kappa: float) -> None:
+    """Reject a group sampling fraction outside (0, 1]."""
+    if not 0.0 < kappa <= 1.0:
+        raise ConfigurationError(f"kappa must be in (0, 1], got {kappa}")
+
+
 @dataclass
 class ExperimentConfig:
     """A full training run: task, model, optimizer, schedule, sampling, seed."""
@@ -117,8 +126,7 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"algorithm must be one of {', '.join(ALGORITHMS)}; got {self.algorithm!r}"
             )
-        if not 0.0 < self.kappa <= 1.0:
-            raise ConfigurationError(f"kappa must be in (0, 1], got {self.kappa}")
+        validate_kappa(self.kappa)
         if self.rounds < 0:
             raise ConfigurationError(f"rounds must be >= 0, got {self.rounds}")
         if self.algorithm in ("naive_gsp", "naive_gsp_icg"):
@@ -144,6 +152,26 @@ class ExperimentConfig:
                     f"cost {name} ({getattr(self.cost, name)}) disagrees with the "
                     f"experiment ({value})"
                 )
+        # The cumulative cost columns at the last round. t_comm and d_comm are
+        # linear in rounds; one round's t_comp = a/M + b*M peaks at M = 1 or
+        # M = K, so rounds times the larger of the two bounds its sum.
+        try:
+            totals = [
+                self.rounds
+                * max(
+                    metrics.t_comp([1], self.cost),
+                    metrics.t_comp([self.task.num_clients], self.cost),
+                ),
+                metrics.t_comm(self.rounds, self.cost),
+                metrics.d_comm(self.rounds, self.cost),
+            ]
+        except OverflowError:  # rounds beyond float range
+            totals = [math.inf]
+        if not all(map(math.isfinite, totals)):
+            raise ConfigurationError(
+                f"cost constants overflow the cumulative costs over {self.rounds} rounds "
+                f"(t_comp bound, t_comm, d_comm): {totals}"
+            )
 
 
 @dataclass(frozen=True)
@@ -216,22 +244,6 @@ def _sample_size(kappa: float, group_count: int) -> int:
     return max(1, math.floor(kappa * group_count + 0.5))
 
 
-def _train_chain(state: ExperimentState, plan: GroupingPlan, group_id: int) -> ModelParams:
-    config = state.config
-    params = state.params
-    features, labels = state.clients.features, state.clients.labels
-    for client_id in plan.groups[group_id].tolist():
-        params = train_one_client(
-            params,
-            Dataset(features[client_id], labels[client_id]),
-            config.sgd,
-            batch_seed=stream_id(
-                config.run_seed, "batch", plan.round_index, group_id, client_id
-            ),
-        )
-    return params
-
-
 def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
     """Execute round ``round_index``, advance the state, and return its record.
 
@@ -247,8 +259,13 @@ def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
         )
     )
 
-    stacked = np.stack([_train_chain(state, plan, int(g)).values for g in sampled])
-    state.params = ModelParams(values=stacked.mean(axis=0), layout=state.params.layout)
+    chains = plan.groups[sampled]
+    batch_seeds = [
+        [stream_id(config.run_seed, "batch", round_index, group, client) for client in members]
+        for group, members in zip(sampled.tolist(), chains.tolist())
+    ]
+    trained = train_chains(state.params, state.clients, chains, batch_seeds, config.sgd)
+    state.params = ModelParams(values=trained.mean(axis=0), layout=state.params.layout)
 
     accuracy, loss = evaluate(state.params, state.test_set)
     if plan.group_count >= 2:
@@ -320,10 +337,11 @@ def preflight(
     resume_from: str | None = None,
     checkpoint_path: str | None = None,
     checkpoint_every: int | None = None,
-) -> tuple[list[RoundRecord], ModelParams] | None:
-    """Check the run arguments before anything runs or is written.
+) -> ExperimentState:
+    """Check the run arguments, then build the run's state.
 
-    Returns the checkpoint's (records, params) when resuming, else ``None``.
+    Nothing runs or is written. With ``resume_from``, the checkpoint is read
+    once and its records and parameters are restored into the state.
     Raises ``ConfigurationError`` for a bad checkpoint interval, a checkpoint
     that cannot be read, one written under a config that differs in anything
     but ``rounds``, one whose records are not rounds 1..k in order, or one
@@ -335,7 +353,7 @@ def preflight(
         if checkpoint_path is None:
             raise ConfigurationError("checkpoint_every requires checkpoint_path")
     if resume_from is None:
-        return None
+        return new_experiment_state(config)
     try:
         records, fingerprint, values = load_checkpoint(resume_from)
         if fingerprint != config_fingerprint(config):
@@ -354,7 +372,29 @@ def preflight(
         raise ConfigurationError("checkpoint records are not rounds 1..k in order")
     if len(records) > config.rounds:
         raise ConfigurationError(f"checkpoint has {len(records)} rounds; rounds = {config.rounds}")
-    return records, params
+    state = new_experiment_state(config)
+    state.records, state.params = records, params
+    return state
+
+
+def run_rounds(
+    state: ExperimentState,
+    checkpoint_path: str | None = None,
+    checkpoint_every: int | None = None,
+    on_round=None,
+) -> None:
+    """Run the rounds after ``state.records`` up to ``config.rounds``.
+
+    Takes the arguments :func:`preflight` checked: a checkpoint is written to
+    ``checkpoint_path`` after every ``checkpoint_every`` completed rounds, and
+    ``on_round(state, record)`` is called after each round.
+    """
+    for round_index in range(len(state.records) + 1, state.config.rounds + 1):
+        record = run_round(state, round_index)
+        if on_round is not None:
+            on_round(state, record)
+        if checkpoint_every is not None and round_index % checkpoint_every == 0:
+            save_checkpoint(state, checkpoint_path)
 
 
 def run_experiment(
@@ -378,15 +418,6 @@ def run_experiment(
         Every record of the run, restored ones included, and the final global
         model.
     """
-    resumed = preflight(config, resume_from, checkpoint_path, checkpoint_every)
-    state = new_experiment_state(config)
-    if resumed is not None:
-        state.records, state.params = resumed
-
-    for round_index in range(len(state.records) + 1, config.rounds + 1):
-        record = run_round(state, round_index)
-        if on_round is not None:
-            on_round(state, record)
-        if checkpoint_every is not None and round_index % checkpoint_every == 0:
-            save_checkpoint(state, checkpoint_path)
+    state = preflight(config, resume_from, checkpoint_path, checkpoint_every)
+    run_rounds(state, checkpoint_path, checkpoint_every, on_round)
     return state.records, state.params

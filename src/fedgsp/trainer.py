@@ -1,4 +1,4 @@
-"""Local models, one-client mini-batch SGD, and evaluation.
+"""Local models, lockstep chain SGD, and evaluation.
 
 Two desk-scale architectures: multinomial logistic regression
 (``softmax_linear``) and a one-hidden-layer tanh MLP (``mlp_one_hidden``).
@@ -11,6 +11,13 @@ the final short batch is kept and its gradient averaged over its own size.
 All math is float64 and the functions are pure, which is what makes a
 sequential chain of clients bit-reproducible and equal to centralized SGD
 over the concatenated data under a matched batch schedule.
+
+A round trains G chains of L clients, and every client holds n samples, so
+:func:`train_chains` advances all G chains in lockstep: step t of every chain
+is one stacked update on a (G, P) parameter array, with batched matrix
+products in place of G separate ones. Each chain's result is bit-identical
+to training its clients one at a time with :func:`train_one_client`, which
+stays as that one-client reference (acceptance criterion 5).
 """
 
 from __future__ import annotations
@@ -83,9 +90,6 @@ class ModelParams:
         if not np.all(np.isfinite(values)):
             raise ValueError("parameters must be finite")
 
-    def view(self, name: str) -> np.ndarray:
-        return _split(self.values, self.layout)[name]
-
 
 def _layout(spec: ModelSpec) -> tuple[tuple[str, tuple[int, ...]], ...]:
     if spec.kind == KIND_SOFTMAX_LINEAR:
@@ -116,26 +120,35 @@ def init_model(spec: ModelSpec) -> ModelParams:
 
 
 def _split(values: np.ndarray, layout) -> dict[str, np.ndarray]:
+    """Layer views of a (P,) vector, or (G, *shape) views of a (G, P) stack."""
     views = {}
     offset = 0
     for name, shape in layout:
         size = math.prod(shape)
-        views[name] = values[offset : offset + size].reshape(shape)
+        views[name] = values[..., offset : offset + size].reshape(values.shape[:-1] + shape)
         offset += size
     return views
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def _forward(layers: dict[str, np.ndarray], features: np.ndarray):
-    """Return (logits, hidden activation or None) for split parameter layers."""
+    """Return (logits, hidden activation or None) for split parameter layers.
+
+    Takes one model and (b, d) features, or a stack of G models and
+    (G, b, d) features.
+    """
     if "w1" in layers:
-        hidden = np.tanh(features @ layers["w1"].T + layers["b1"])
-        return hidden @ layers["w2"].T + layers["b2"], hidden
-    return features @ layers["w"].T + layers["b"], None
+        hidden = np.tanh(features @ _transposed(layers["w1"]) + layers["b1"][..., None, :])
+        return hidden @ _transposed(layers["w2"]) + layers["b2"][..., None, :], hidden
+    return features @ _transposed(layers["w"]) + layers["b"][..., None, :], None
+
+
+def _transposed(weights: np.ndarray) -> np.ndarray:
+    return weights.swapaxes(-1, -2)
 
 
 def loss_and_gradient(
@@ -196,6 +209,100 @@ def train_one_client(
                 )
             values -= config.learning_rate * grad
     return ModelParams(values=values, layout=params.layout)
+
+
+def _chain_loss_and_gradient(
+    layers: dict[str, np.ndarray],
+    features: np.ndarray,
+    labels: np.ndarray,
+    grads: dict[str, np.ndarray],
+) -> np.ndarray:
+    """Per-chain mean cross-entropy of a stacked (G, b) batch.
+
+    Writes each chain's gradient into the (G, *shape) views ``grads``. Row g
+    computes exactly what :func:`loss_and_gradient` computes for chain g.
+    """
+    batch = labels.shape[1]
+    logits, hidden = _forward(layers, features)
+    log_probs = _log_softmax(logits)
+    picked = (np.arange(len(labels))[:, None], np.arange(batch), labels)
+    loss = -log_probs[picked].mean(axis=1)
+
+    delta = np.exp(log_probs)
+    delta[picked] -= 1.0
+    delta /= batch
+
+    if hidden is None:
+        np.matmul(_transposed(delta), features, out=grads["w"])
+        np.sum(delta, axis=1, out=grads["b"])
+    else:
+        upstream = (delta @ layers["w2"]) * (1.0 - hidden * hidden)
+        np.matmul(_transposed(upstream), features, out=grads["w1"])
+        np.sum(upstream, axis=1, out=grads["b1"])
+        np.matmul(_transposed(delta), hidden, out=grads["w2"])
+        np.sum(delta, axis=1, out=grads["b2"])
+    return loss
+
+
+def train_chains(
+    params: ModelParams, clients, groups: np.ndarray, batch_seeds, config: SgdConfig
+) -> np.ndarray:
+    """Train G client chains from ``params`` in lockstep; returns their (G, P) outputs.
+
+    Row g of the (G, L) ``groups`` is one chain: clients ``groups[g, 0..L-1]``
+    train one after another, client ``groups[g, l]`` with batch seed
+    ``batch_seeds[g, l]``, each as :func:`train_one_client` would. Every
+    client of ``clients`` holds n samples, so all chains take the same steps,
+    and step t of every chain runs as one stacked update. Row g of the result
+    equals the parameter vector of chain g trained alone, bit for bit.
+
+    Raises:
+        TrainingDivergedError: On a non-finite loss, gradient or parameter,
+            naming the chain (row of ``groups``), its client and position,
+            and the epoch and batch.
+    """
+    groups = np.asarray(groups)
+    batch_seeds = np.asarray(batch_seeds, dtype=np.uint64)
+    features, labels = clients.features, clients.labels
+    n = labels.shape[1]
+    values = np.tile(params.values, (len(groups), 1))
+    grads = np.empty_like(values)
+    layers = _split(values, params.layout)
+    grad_layers = _split(grads, params.layout)
+
+    def diverged(finite: np.ndarray, position: int, where: str) -> TrainingDivergedError:
+        chain = int(np.argmin(finite))
+        return TrainingDivergedError(
+            f"chain {chain} (client {groups[chain, position]}, position {position}): "
+            f"non-finite {where} (learning-rate blowup?)"
+        )
+
+    for position in range(groups.shape[1]):
+        members = groups[:, position, None]
+        for epoch in range(config.local_epochs):
+            orders = np.stack(
+                [
+                    generator(int(seed), "batch-order", epoch).permutation(n)
+                    for seed in batch_seeds[:, position]
+                ]
+            )
+            for start in range(0, n, config.batch_size):
+                idx = orders[:, start : start + config.batch_size]
+                loss = _chain_loss_and_gradient(
+                    layers, features[members, idx], labels[members, idx], grad_layers
+                )
+                finite = np.isfinite(loss) & np.isfinite(grads).all(axis=1)
+                if not finite.all():
+                    raise diverged(
+                        finite,
+                        position,
+                        f"loss/gradient at epoch {epoch}, batch {start // config.batch_size}",
+                    )
+                values -= config.learning_rate * grads
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            raise diverged(finite, position, "parameters after local training")
+    return values
 
 
 def evaluate(params: ModelParams, dataset) -> tuple[float, float]:

@@ -223,6 +223,33 @@ class TestCmdRun:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cumulative_cost_overflow_is_config_error(self, tmp_path, config_path, capsys):
+        # One round's costs are finite at this model size, but the cumulative
+        # t_comm and d_comm columns pass float64's range well before round 60.
+        run = ["run", "--config", str(config_path), "--set", "cost.model_size_megabytes=1e306"]
+        out = tmp_path / "out"
+        assert main(run + ["--out", str(out), "--set", "rounds=60"]) == 1
+        assert "overflow the cumulative costs over 60 rounds" in capsys.readouterr().err
+        assert not out.exists()
+        # A round count past float range is the same config error.
+        assert main(run + ["--out", str(out), "--set", f"rounds={10**400}"]) == 1
+        assert "overflow the cumulative costs" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(run + ["--out", str(out)]) == 0
+        rows = read_rows(out / "smoke" / "rounds.csv")[1:]
+        assert len(rows) == 2
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+    @pytest.mark.parametrize("kappa", ["0", "-0.5"])
+    def test_kappa_outside_range_names_kappa(self, tmp_path, config_path, capsys, kappa):
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(config_path), "--out", str(out), "--set", f"kappa={kappa}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"kappa must be in (0, 1], got {float(kappa)}" in err
+        assert "sampling_rate" not in err
+        assert not out.exists()
+
     @given(st.data())
     @settings(max_examples=80, deadline=None)
     def test_config_boundary_fuzz(self, data):
@@ -303,6 +330,25 @@ class TestCmdRun:
         assert code == 0
         for name in ("rounds.csv", "summary.json", "groupings.jsonl"):
             assert (resumed / "smoke" / name).read_bytes() == (full / "smoke" / name).read_bytes()
+
+    def test_resume_reads_checkpoint_and_builds_task_once(
+        self, tmp_path, config_path, monkeypatch
+    ):
+        run = ["run", "--config", str(config_path), "--dump-groupings"]
+        part = tmp_path / "part"
+        assert main(run + ["--out", str(part), "--checkpoint-every", "2"]) == 0
+        calls = {"load_checkpoint": 0, "generate_task": 0}
+        for name in calls:
+            original = getattr(fedgsp.orchestrator, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(fedgsp.orchestrator, name, counted)
+        resume = ["--resume", str(part / "smoke" / "checkpoint.json")]
+        assert main(run + ["--out", str(tmp_path / "resumed"), "--set", "rounds=4"] + resume) == 0
+        assert calls == {"load_checkpoint": 1, "generate_task": 1}
 
     def test_resume_below_checkpoint_rounds_leaves_run_untouched(
         self, tmp_path, config_path, capsys
@@ -404,7 +450,7 @@ class TestCmdRun:
         def diverge(*args, **kwargs):
             raise TrainingDivergedError("non-finite loss")
 
-        monkeypatch.setattr(fedgsp.orchestrator, "train_one_client", diverge)
+        monkeypatch.setattr(fedgsp.orchestrator, "train_chains", diverge)
         out = tmp_path / "out"
         assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
         manifest = json.loads((out / "smoke" / "manifest.json").read_text())

@@ -1,5 +1,6 @@
 """Pinned output bytes: every arm of the shipped demo config, five rounds,
-and the shard-skew ICG path at K = 120, three rounds.
+two of its SGD schedules, and the shard-skew ICG path at K = 120, three
+rounds.
 
 A refactor that claims "output bytes unchanged" must keep these hashes. A
 change that moves the bytes on purpose updates them here and says why in
@@ -50,6 +51,20 @@ GOLDEN_SHARDS_K120 = {
 }
 
 
+# Batch schedules the demo's batch size of 5 does not reach: a batch of one
+# sample, and a short last batch (50 samples at 7) over two epochs.
+GOLDEN_SGD = {
+    "softmax-b7-e2": (
+        {"sgd.batch_size": "7", "sgd.local_epochs": "2", "model.kind": "softmax_linear"},
+        "dd653e8f9b37bcd9f731c7cc4d1a554defd6f877e4cfb5ed1ec41c833be285d7",
+    ),
+    "b1": (
+        {"sgd.batch_size": "1"},
+        "18885d8f19b4784c2e6a37d8b1b9bb0c2e773387f705b3cbb9aa4930b10e6841",
+    ),
+}
+
+
 def _digests(run_dir: Path, names) -> dict[str, str]:
     return {
         name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in names
@@ -74,3 +89,13 @@ def test_shard_skew_icg_bytes_pinned(tmp_path):
         argv += ["--set", f"{key}={value}"]
     assert main(argv + ["--dump-groupings"]) == 0
     assert _digests(tmp_path / "shards", GOLDEN_SHARDS_K120) == GOLDEN_SHARDS_K120
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SGD))
+def test_sgd_schedule_bytes_pinned(name, tmp_path):
+    overrides, digest = GOLDEN_SGD[name]
+    argv = ["run", "--config", str(CONFIG), "--out", str(tmp_path), "--name", name]
+    for key, value in {**overrides, "rounds": "5"}.items():
+        argv += ["--set", f"{key}={value}"]
+    assert main(argv) == 0
+    assert _digests(tmp_path / name, ["rounds.csv"]) == {"rounds.csv": digest}

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedgsp.datagen import Dataset
 from fedgsp.errors import ConfigurationError, TrainingDivergedError
@@ -10,9 +12,11 @@ from fedgsp.trainer import (
     ModelParams,
     ModelSpec,
     SgdConfig,
+    _split,
     evaluate,
     init_model,
     loss_and_gradient,
+    train_chains,
     train_one_client,
 )
 
@@ -63,10 +67,11 @@ class TestInitModel:
             kind="mlp_one_hidden", feature_dim=16, num_classes=5, hidden_units=8
         )
         params = init_model(spec)
-        assert np.all(np.abs(params.view("w1")) <= 1 / math.sqrt(16))
-        assert np.all(np.abs(params.view("w2")) <= 1 / math.sqrt(8))
-        assert not params.view("b1").any()
-        assert not params.view("b2").any()
+        layers = _split(params.values, params.layout)
+        assert np.all(np.abs(layers["w1"]) <= 1 / math.sqrt(16))
+        assert np.all(np.abs(layers["w2"]) <= 1 / math.sqrt(8))
+        assert not layers["b1"].any()
+        assert not layers["b2"].any()
 
     def test_rejects_mlp_without_hidden_units(self):
         with pytest.raises(ConfigurationError):
@@ -194,10 +199,10 @@ def chained_sgd_oracle(initial, chain, learning_rate, batch_size, batch_seeds):
     Re-implements softmax regression updates with explicit per-sample loops
     (no shared code with the trainer beyond numpy).
     """
-    layers = {name: None for name, _ in initial.layout}
+    layers = _split(initial.values, initial.layout)
     assert set(layers) == {"w", "b"}
-    w = initial.view("w").copy()
-    b = initial.view("b").copy()
+    w = layers["w"].copy()
+    b = layers["b"].copy()
     num_classes = w.shape[0]
     for dataset, seed in zip(chain, batch_seeds):
         order = generator(seed, "batch-order", 0).permutation(len(dataset.labels))
@@ -236,6 +241,73 @@ class TestSequentialChainEquivalence:
         assert float(np.max(np.abs(current.values - expected))) <= 1e-12
 
 
+class TestTrainChains:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_chain_train_one_client(self, data):
+        # Batch sizes from 1 to n + 1 cover a batch of one, a short last
+        # batch and a single batch holding every sample.
+        kind = data.draw(st.sampled_from(["softmax_linear", "mlp_one_hidden"]), label="kind")
+        num_clients = data.draw(st.integers(1, 5), label="K")
+        samples = data.draw(st.integers(1, 12), label="n")
+        chains = data.draw(st.integers(1, 4), label="G")
+        length = data.draw(st.integers(1, 3), label="L")
+        config = SgdConfig(
+            learning_rate=data.draw(st.sampled_from([0.0, 0.05, 0.5]), label="lr"),
+            batch_size=data.draw(st.integers(1, samples + 1), label="B"),
+            local_epochs=data.draw(st.integers(1, 3), label="epochs"),
+        )
+        spec = ModelSpec(
+            kind=kind,
+            feature_dim=data.draw(st.integers(1, 4), label="d"),
+            num_classes=data.draw(st.integers(2, 5), label="C"),
+            hidden_units=data.draw(st.integers(1, 6), label="H"),
+            init_seed=data.draw(st.integers(0, 99), label="init seed"),
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="data seed"))
+        clients = Dataset(
+            features=rng.standard_normal((num_clients, samples, spec.feature_dim)),
+            labels=rng.integers(0, spec.num_classes, size=(num_clients, samples)),
+        )
+        groups = rng.integers(0, num_clients, size=(chains, length))
+        seeds = rng.integers(0, 2**63, size=(chains, length), dtype=np.uint64) * np.uint64(2)
+        params = init_model(spec)
+
+        trained = train_chains(params, clients, groups, seeds, config)
+
+        assert trained.shape == (chains, params.values.size)
+        for chain, (members, chain_seeds) in enumerate(zip(groups, seeds)):
+            current = params
+            for client, seed in zip(members, chain_seeds):
+                one = Dataset(clients.features[client], clients.labels[client])
+                current = train_one_client(current, one, config, batch_seed=int(seed))
+            assert trained[chain].tobytes() == current.values.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_the_chain(self):
+        # Only chain 1 reaches the client with huge features, at position 1.
+        rng = np.random.default_rng(5)
+        spec = ModelSpec(kind="softmax_linear", feature_dim=4, num_classes=3, init_seed=8)
+        features = np.zeros((2, 6, 4))
+        features[1] = rng.standard_normal((6, 4)) * 1e150
+        clients = Dataset(features=features, labels=np.tile([0, 1, 2, 0, 1, 2], (2, 1)))
+        groups = [[0, 0], [0, 1], [0, 0]]
+        seeds = [[1, 2], [3, 4], [5, 6]]
+        named = r"^chain 1 \(client 1, position 1\): non-finite loss/gradient at epoch 0, batch 1"
+        with pytest.raises(TrainingDivergedError, match=named):
+            train_chains(init_model(spec), clients, groups, seeds, SgdConfig(learning_rate=1e300))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_update_is_divergence(self):
+        # A finite gradient times a huge learning rate overflows the last
+        # update; the chain must not return infinite parameters.
+        spec = ModelSpec(kind="softmax_linear", feature_dim=2, num_classes=2, init_seed=1)
+        clients = Dataset(features=np.full((1, 1, 2), 1e10), labels=np.array([[1]]))
+        config = SgdConfig(learning_rate=1e308, batch_size=1)
+        with pytest.raises(TrainingDivergedError, match=r"^chain 0 .*non-finite parameters"):
+            train_chains(init_model(spec), clients, [[0]], [[7]], config)
+
+
 class TestEvaluate:
     def test_zero_params_loss_is_log_classes(self):
         spec = ModelSpec(kind="softmax_linear", feature_dim=3, num_classes=4)
@@ -270,8 +342,8 @@ class TestEvaluate:
             features=rng.standard_normal((40, 4)), labels=rng.integers(0, 3, size=40)
         )
         _, loss = evaluate(params, test)
-        w1, b1 = params.view("w1"), params.view("b1")
-        w2, b2 = params.view("w2"), params.view("b2")
+        layers = _split(params.values, params.layout)
+        w1, b1, w2, b2 = (layers[name] for name in ("w1", "b1", "w2", "b2"))
         total = 0.0
         for x, y in zip(test.features, test.labels):
             hidden = np.tanh(w1 @ x + b1)
