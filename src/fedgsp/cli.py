@@ -32,7 +32,6 @@ from .orchestrator import (
     growth_eval,
     new_experiment_state,
     preflight,
-    run_experiment,
     run_rounds,
 )
 
@@ -261,11 +260,8 @@ def cmd_grid(args) -> int:
     alphas = _parse_list(args.alphas, float)
     betas = _parse_list(args.betas, int)
 
-    name = args.name or f"{Path(args.config).stem}-grid"
-    root = _out_root(args) / name
-    root.mkdir(parents=True, exist_ok=True)
-
-    rows = []
+    # Every cell resolves before any of them runs.
+    cells = []
     for kind in kinds:
         for alpha in alphas:
             for beta in betas:
@@ -273,17 +269,25 @@ def cmd_grid(args) -> int:
                 cell["growth.kind"] = kind
                 cell["growth.alpha"] = repr(alpha)
                 cell["growth.beta"] = str(beta)
-                resolved = resolve(settings, cell)
-                records, _ = run_experiment(resolved.experiment)
-                rows.append(
-                    (
-                        kind,
-                        alpha,
-                        beta,
-                        records[-1].loss if records else math.nan,
-                        records[-1].accuracy if records else math.nan,
-                    )
-                )
+                cells.append((kind, alpha, beta, resolve(settings, cell)))
+
+    name = args.name or f"{Path(args.config).stem}-grid"
+    root = _out_root(args) / name
+    root.mkdir(parents=True, exist_ok=True)
+
+    rows = []
+    for kind, alpha, beta, resolved in cells:
+        summary = _execute_run(resolved, root / f"{kind}-{alpha!r}-{beta}", args)
+        finished = summary["rounds"] > 0
+        rows.append(
+            (
+                kind,
+                alpha,
+                beta,
+                summary["final_loss"] if finished else math.nan,
+                summary["final_accuracy"] if finished else math.nan,
+            )
+        )
     with open(root / "grid.csv", "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["kind", "alpha", "beta", "final_loss", "final_accuracy"])
@@ -345,7 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ablation)
     ablation.set_defaults(func=cmd_ablation)
 
-    grid = sub.add_parser("grid", help="Growth-function grid search; emits grid.csv.")
+    grid = sub.add_parser(
+        "grid", help="Growth-function grid search: one run directory per cell, plus grid.csv.",
+    )
     _add_common(grid)
     grid.add_argument("--kinds", default="linear,log,exp", help="Comma-separated growth kinds.")
     grid.add_argument("--alphas", required=True, help="Comma-separated alpha values.")

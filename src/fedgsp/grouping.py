@@ -9,6 +9,12 @@ the group size: with ``M`` groups requested over ``K`` clients,
 ``L = K // M`` and only ``L * (K // L)`` subsampled clients take part in the
 round.
 
+Work whose result the input's shape already fixes is skipped, with the same
+output: one cluster (``L = 1``, every group a single client) needs no
+assignment, its centroid is the plain mean and a one-member group has only
+one order; when ``L`` divides ``K`` the sorted participant draw is every
+client. The group-centroid report is computed only when it is read.
+
 Random balanced grouping (the ablation baseline) and singleton grouping (one
 client per group, i.e. plain parallel training) produce the same plan type so
 the training loop never cares how groups were formed.
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -116,12 +123,25 @@ class GroupCentroidReport:
     error_bound: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IcgResult:
+    """One ICG round: the plan, the clustering behind it, and its deal.
+
+    ``points`` are the participants' class-count rows and ``rows[m, l]`` the
+    participant row that cluster ``l`` dealt to group ``m``. ``report`` is
+    computed from them on first access and then kept; the training loop never
+    reads it.
+    """
+
     plan: GroupingPlan
-    report: GroupCentroidReport
     cluster_state: ClusterState
     objective_history: tuple[float, ...]
+    points: np.ndarray
+    rows: np.ndarray
+
+    @cached_property
+    def report(self) -> GroupCentroidReport:
+        return _centroid_report(self.points, self.rows, self.cluster_state)
 
 
 def clustering_objective(
@@ -279,7 +299,16 @@ def constrained_cluster(
     sampling. The returned history interleaves the objective after each
     assignment and each update step; it is non-increasing up to the 1e-6 cost
     quantization of the assignment step.
+
+    One cluster is already solved: every point belongs to it and its centroid
+    is the mean of all points, so no seed is drawn, no assignment runs, and
+    the history is the one objective at that centroid.
     """
+    if cluster_count == 1:
+        centroids = points.mean(axis=0, keepdims=True)
+        assignment = np.zeros(len(points), dtype=np.int64)
+        state = ClusterState(centroids=centroids, assignment=assignment)
+        return state, (clustering_objective(points, centroids, assignment),)
     init = generator(seed, "centroid-init").choice(
         len(points), size=cluster_count, replace=False
     )
@@ -343,9 +372,14 @@ def inter_cluster_grouping(
         seed: Grouping seed for the run.
 
     Returns:
-        An :class:`IcgResult` carrying the plan, the group-centroid report,
-        the final cluster state, and the objective history of the alternating
-        optimization.
+        An :class:`IcgResult` carrying the plan, the final cluster state, the
+        objective history of the alternating optimization, and the deal its
+        group-centroid report is computed from when read.
+
+    Draws whose result is fixed are skipped: the participant draw when ``L``
+    divides ``K`` (all clients take part, in order), and the in-group order
+    when ``L = 1``. The cluster deal always runs; at ``L = 1`` it picks which
+    ``M`` clients train.
     """
     counts = np.asarray(clients, dtype=float)
     num_clients = len(counts)
@@ -355,10 +389,14 @@ def inter_cluster_grouping(
     sampled_count = group_size * quota
 
     icg_seed = stream_id(seed, "icg", round_index)
-    participants = generator(icg_seed, "participant-sample").choice(
-        num_clients, size=sampled_count, replace=False
-    )
-    participants = np.sort(participants)
+    if sampled_count == num_clients:
+        participants = np.arange(num_clients)
+    else:
+        participants = np.sort(
+            generator(icg_seed, "participant-sample").choice(
+                num_clients, size=sampled_count, replace=False
+            )
+        )
 
     pts = counts[participants]
     state, history = constrained_cluster(pts, group_size, icg_seed)
@@ -369,13 +407,13 @@ def inter_cluster_grouping(
         members = np.flatnonzero(state.assignment == l)
         order = generator(icg_seed, "cluster-deal", l).permutation(len(members))
         rows[:, l] = members[order[:group_count]]
-    for m in range(group_count):
-        generator(icg_seed, "group-order", m).shuffle(rows[m])
+    if group_size > 1:
+        for m in range(group_count):
+            generator(icg_seed, "group-order", m).shuffle(rows[m])
 
     plan = GroupingPlan(round_index, participants[rows], num_clients)
-    report = _centroid_report(pts, rows, state)
     return IcgResult(
-        plan=plan, report=report, cluster_state=state, objective_history=history
+        plan=plan, cluster_state=state, objective_history=history, points=pts, rows=rows
     )
 
 

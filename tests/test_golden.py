@@ -1,6 +1,6 @@
 """Pinned output bytes: every arm of the shipped demo config, five rounds,
-two of its SGD schedules, and the shard-skew ICG path at K = 120, three
-rounds.
+two of its SGD schedules, the shard-skew ICG path at K = 120, three rounds,
+and two ICG runs that reach one-member groups (L = 1).
 
 A refactor that claims "output bytes unchanged" must keep these hashes. A
 change that moves the bytes on purpose updates them here and says why in
@@ -51,6 +51,26 @@ GOLDEN_SHARDS_K120 = {
 }
 
 
+# One-member groups (L = K // M = 1): the naive ICG arm at M = 40 of K = 60
+# from round 1, and the fedgsp arm's growth past M = 30 in rounds 34-36.
+GOLDEN_ONE_MEMBER = {
+    "naive-icg-m40": (
+        {"algorithm": "naive_gsp_icg", "fixed_group_count": "40", "rounds": "3"},
+        {
+            "rounds.csv": "f745a8da12d7a09c5d83bf083323300b33ac91bcc581e86f2db17b030592dcf3",
+            "groupings.jsonl": "9ac474e4fb0f5a37492769f45f2da9dd7b7c99fcd6ef693ec7832f356f32e4c8",
+        },
+    ),
+    "fedgsp-r36": (
+        {"rounds": "36"},
+        {
+            "rounds.csv": "1279b508fd4d7afe4a10030d9fc5e6fe6c0634665de7c749cfed331e76b86931",
+            "groupings.jsonl": "d30783c435d137a566fad7ba44bbc25a4c77d1be1d0a1ee050e81705a61da0b8",
+        },
+    ),
+}
+
+
 # Batch schedules the demo's batch size of 5 does not reach: a batch of one
 # sample, and a short last batch (50 samples at 7) over two epochs.
 GOLDEN_SGD = {
@@ -89,6 +109,16 @@ def test_shard_skew_icg_bytes_pinned(tmp_path):
         argv += ["--set", f"{key}={value}"]
     assert main(argv + ["--dump-groupings"]) == 0
     assert _digests(tmp_path / "shards", GOLDEN_SHARDS_K120) == GOLDEN_SHARDS_K120
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ONE_MEMBER))
+def test_one_member_group_bytes_pinned(name, tmp_path):
+    overrides, digests = GOLDEN_ONE_MEMBER[name]
+    argv = ["run", "--config", str(CONFIG), "--out", str(tmp_path), "--name", name]
+    for key, value in overrides.items():
+        argv += ["--set", f"{key}={value}"]
+    assert main(argv + ["--dump-groupings"]) == 0
+    assert _digests(tmp_path / name, digests) == digests
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SGD))

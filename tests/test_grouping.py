@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedgsp import grouping
 from fedgsp.datagen import SyntheticTaskSpec, generate_task
 from fedgsp.grouping import (
     COST_SCALE,
@@ -21,8 +22,11 @@ from fedgsp.grouping import (
     singleton_grouping,
 )
 from fedgsp.mcf import solve
+from fedgsp.orchestrator import new_experiment_state, run_round
+from fedgsp.rng import generator, stream_id
 
 from test_mcf import bipartite_network
+from test_orchestrator import make_config
 
 # Assignment-step optimality is exact only up to the 1e-6 cost quantization;
 # distances here are O(1) or larger, so this slack is orders of magnitude
@@ -227,6 +231,20 @@ class TestConstrainedCluster:
         assert np.array_equal(first_state.assignment, second_state.assignment)
         assert first_history == second_history
 
+    def test_one_cluster_is_solved_without_draws(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("one cluster needs no draw and no assignment")
+
+        monkeypatch.setattr(grouping, "cluster_assignment", forbidden)
+        monkeypatch.setattr(grouping, "generator", forbidden)
+        points = np.random.default_rng(41).integers(0, 30, size=(11, 5)).astype(float)
+        state, history = constrained_cluster(points, 1, seed=3)
+        assert state.assignment.tolist() == [0] * 11
+        assert state.centroids.shape == (1, 5)
+        assert state.centroids[0].tobytes() == points.mean(axis=0).tobytes()
+        assert len(history) == 1
+        assert history[0] == clustering_objective(points, state.centroids, state.assignment)
+
 
 def counts_for(num_clients, num_classes, seed, low=0, high=30):
     rng = np.random.default_rng(seed)
@@ -314,6 +332,45 @@ class TestInterClusterGrouping:
         assert a.plan.to_json() == b.plan.to_json()
         c = inter_cluster_grouping(clients, 4, 4, seed=14)
         assert c.plan.to_json() != a.plan.to_json()  # round index feeds the sub-streams
+
+    @pytest.mark.parametrize(
+        "num_clients,group_count,round_index,seed",
+        [(6, 6, 1, 2), (9, 5, 2, 7), (60, 32, 34, 11), (61, 40, 3, 0)],
+    )
+    def test_one_member_groups_follow_the_deal(
+        self, num_clients, group_count, round_index, seed
+    ):
+        # L = 1: every client takes part, and the cluster deal's permutation
+        # picks the M one-member groups in order.
+        clients = counts_for(num_clients, 4, seed=num_clients)
+        plan = inter_cluster_grouping(clients, group_count, round_index, seed).plan
+        deal = generator(stream_id(seed, "icg", round_index), "cluster-deal", 0)
+        expected = deal.permutation(num_clients)[:group_count, None]
+        assert np.array_equal(plan.groups, expected)
+
+    @pytest.mark.parametrize("group_count", [3, 6])
+    def test_training_round_never_builds_the_report(self, monkeypatch, group_count):
+        # M = 3 over K = 10 gives L = 3 and a participant draw; M = 6 gives L = 1.
+        state = new_experiment_state(
+            make_config(algorithm="naive_gsp_icg", fixed_group_count=group_count)
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("run_round built the group-centroid report")
+
+        monkeypatch.setattr(grouping, "_centroid_report", forbidden)
+        run_round(state, 1)
+        monkeypatch.undo()
+
+        seed = stream_id(state.config.run_seed, "grouping")
+        result = inter_cluster_grouping(state.counts, group_count, 1, seed)
+        assert np.array_equal(result.plan.groups, state.last_plan.groups)
+        report = result.report
+        assert report is result.report  # computed once, then kept
+        assert report.error_bound == pytest.approx(
+            report.cluster_spreads.sum() / result.cluster_state.cluster_count, rel=1e-12
+        )
+        assert np.all(report.squared_errors <= report.error_bound + 1e-9)
 
     def test_rejects_nonpositive_group_count(self):
         clients = counts_for(6, 3, seed=15)

@@ -1,12 +1,15 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedgsp import metrics
 from fedgsp.metrics import (
+    CPD_BLOCK_ELEMENTS,
     CostModelParams,
     cpd,
     d_comm,
@@ -29,6 +32,15 @@ def mmd_double_sum(p, q, sigma):
 
 
 counts = st.lists(st.integers(0, 50), min_size=2, max_size=8)
+
+
+def row_loop_pair_distances(distributions):
+    """Oracle: squared distances of normalized rows, one row against all later ones."""
+    counts = np.asarray(distributions, dtype=float)
+    rows = counts / counts.sum(axis=1, keepdims=True)
+    return np.concatenate(
+        [((rows[i + 1 :] - rows[i]) ** 2).sum(axis=1) for i in range(len(rows) - 1)]
+    )
 
 
 class TestCpd:
@@ -118,6 +130,27 @@ class TestPairwiseCpd:
                     for j in range(i + 1, groups)
                 ]
                 assert pairwise_cpd(dists).tolist() == expected
+
+    @given(
+        groups=st.integers(2, 70),
+        classes=st.integers(1, 12),
+        block=st.integers(1, 4096),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_blocks_match_row_loop_bytes(self, groups, classes, block, seed):
+        dists = np.random.default_rng(seed).integers(0, 50, size=(groups, classes))
+        dists[:, 0] += 1
+        with mock.patch.object(metrics, "CPD_BLOCK_ELEMENTS", block):
+            blocked = metrics._pair_squared_distances(dists)
+        assert blocked.tobytes() == row_loop_pair_distances(dists).tobytes()
+
+    def test_several_blocks_match_row_loop_bytes(self):
+        dists = np.random.default_rng(21).integers(0, 50, size=(400, 10))
+        dists[:, 0] += 1
+        assert CPD_BLOCK_ELEMENTS // (399 * 10) < 399  # the first block stops early
+        blocked = metrics._pair_squared_distances(dists)
+        assert blocked.tobytes() == row_loop_pair_distances(dists).tobytes()
 
     def test_empty_below_two(self):
         assert pairwise_cpd([]).shape == (0,)
