@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import astuple
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -27,16 +28,11 @@ from .config import ResolvedRun, load_config_file, parse_override, resolve
 from .errors import ConfigurationError
 from .grouping import group_distributions
 from .metrics import pairwise_cpd
-from .orchestrator import (
-    _build_plan,
-    growth_eval,
-    new_experiment_state,
-    preflight,
-    run_rounds,
-)
+from .orchestrator import ExperimentState, _build_plan, growth_eval, preflight, run_rounds
 
 OUT_ROOT_ENV = "FEDGSP_OUT_ROOT"
 
+# One column per ``RoundRecord`` field, in field order.
 CSV_COLUMNS = (
     "round",
     "M",
@@ -62,28 +58,16 @@ def _out_root(args) -> Path:
     return Path(os.environ.get(OUT_ROOT_ENV, "runs"))
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _write_csv(path: Path, header, rows) -> None:
+    """Write ``header`` and ``rows``.
 
-
-def _write_rounds_csv(path: Path, records) -> None:
+    ``csv`` writes a float as ``str``, its shortest round-trip form (equal to
+    ``repr``), and ``None`` as an empty cell.
+    """
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [
-                    r.round_index,
-                    r.group_count,
-                    r.sampled_groups,
-                    _fmt(r.accuracy),
-                    _fmt(r.loss),
-                    _fmt(r.median_group_cpd),
-                    _fmt(r.t_comp_cum_s),
-                    _fmt(r.t_comm_cum_s),
-                    _fmt(r.d_comm_cum_mb),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _rounds_to_target(rows: list[tuple[int, float, float]], target: float) -> int | None:
@@ -116,17 +100,24 @@ def _config_settings(args) -> tuple[dict[str, str], dict[str, str]]:
     return settings, dict(parse_override(item) for item in args.set or [])
 
 
-def _execute_run(resolved: ResolvedRun, run_dir: Path, args) -> dict:
-    """Run one experiment into ``run_dir``; returns the summary payload.
+def _execute_run(
+    resolved: ResolvedRun,
+    run_dir: Path,
+    resume: str | None = None,
+    checkpoint_every: int | None = None,
+    dump_groupings: bool = False,
+) -> tuple[dict, ExperimentState]:
+    """Run one experiment into ``run_dir``; returns the summary payload and final state.
 
     Argument errors surface before ``run_dir`` or its manifest is touched.
+    Each round's grouping plan goes to ``groupings.jsonl`` as the round
+    completes; ``rounds.csv`` and ``summary.json`` are written once the run
+    finishes, so a failed run leaves neither.
     """
-    resume_from = getattr(args, "resume", None)
-    checkpoint_every = getattr(args, "checkpoint_every", None)
     checkpoint_path = (
         str(run_dir / "checkpoint.json") if checkpoint_every is not None else None
     )
-    state = preflight(resolved.experiment, resume_from, checkpoint_path, checkpoint_every)
+    state = preflight(resolved.experiment, resume, checkpoint_path, checkpoint_every)
 
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = run_dir / "manifest.json"
@@ -146,22 +137,16 @@ def _execute_run(resolved: ResolvedRun, run_dir: Path, args) -> dict:
     _write_json(manifest_path, manifest)
 
     grouping_dump = None
-    on_round = None
-    if getattr(args, "dump_groupings", False):
-        grouping_dump = open(run_dir / "groupings.jsonl", "w", encoding="utf-8")
-
-        def on_round(state, record):
-            grouping_dump.write(state.last_plan.to_json())
-            grouping_dump.write("\n")
-
     try:
-        if grouping_dump is not None:
+        if dump_groupings:
+            grouping_dump = open(run_dir / "groupings.jsonl", "w", encoding="utf-8")
             # Plans are a pure function of (config, round), and the
             # checkpoint's config is this one: re-derive the restored rounds.
             for round_index in range(1, len(state.records) + 1):
-                grouping_dump.write(_build_plan(state, round_index).to_json())
-                grouping_dump.write("\n")
-        run_rounds(state, checkpoint_path, checkpoint_every, on_round)
+                grouping_dump.write(_build_plan(state, round_index).to_json() + "\n")
+        for _ in run_rounds(state, checkpoint_path, checkpoint_every):
+            if grouping_dump is not None:
+                grouping_dump.write(state.last_plan.to_json() + "\n")
     except Exception as exc:
         manifest["status"] = "failed"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
@@ -172,7 +157,7 @@ def _execute_run(resolved: ResolvedRun, run_dir: Path, args) -> dict:
         if grouping_dump is not None:
             grouping_dump.close()
 
-    _write_rounds_csv(csv_path, state.records)
+    _write_csv(csv_path, CSV_COLUMNS, map(astuple, state.records))
     summary = _summary(
         [(r.round_index, r.accuracy, r.loss) for r in state.records], resolved.target_accuracy
     )
@@ -180,21 +165,22 @@ def _execute_run(resolved: ResolvedRun, run_dir: Path, args) -> dict:
     manifest["status"] = "completed"
     manifest["finished_at"] = _now()
     _write_json(manifest_path, manifest)
-    return summary
+    return summary, state
 
 
 def cmd_run(args) -> int:
     resolved = resolve(*_config_settings(args))
     name = args.name or Path(args.config).stem
     run_dir = _out_root(args) / name
-    summary = _execute_run(resolved, run_dir, args)
+    summary, _ = _execute_run(
+        resolved, run_dir, args.resume, args.checkpoint_every, args.dump_groupings
+    )
     print(f"run complete: {run_dir} (final accuracy {summary['final_accuracy']})")
     return 0
 
 
-def _first_round_pair_cpds(resolved: ResolvedRun):
-    """(first, second, cpd) rows for the round-1 grouping of this arm."""
-    state = new_experiment_state(resolved.experiment)
+def _first_round_pair_cpds(state: ExperimentState):
+    """(first, second, cpd) rows for the round-1 grouping of this arm's run."""
     plan = _build_plan(state, 1)
     units = group_distributions(plan, state.counts)
     first, second = np.triu_indices(len(units), k=1)
@@ -221,89 +207,78 @@ def cmd_ablation(args) -> int:
     comparison = []
     cpd_rows = []
     for arm, resolved in arms.items():
-        summary = _execute_run(resolved, root / arm, args)
+        summary, state = _execute_run(resolved, root / arm)
         comparison.append(
-            (
-                arm,
-                summary["final_accuracy"],
-                summary["final_loss"],
-                summary["rounds_to_target"],
-            )
+            (arm, summary["final_accuracy"], summary["final_loss"], summary["rounds_to_target"])
         )
-        for i, j, value in _first_round_pair_cpds(resolved):
-            cpd_rows.append((arm, i, j, value))
+        cpd_rows += [(arm, i, j, value) for i, j, value in _first_round_pair_cpds(state)]
 
-    with open(root / "comparison.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["algorithm", "final_accuracy", "final_loss", "rounds_to_target"])
-        for arm, acc, loss, rtt in comparison:
-            writer.writerow([arm, _fmt(acc), _fmt(loss), "" if rtt is None else rtt])
-    with open(root / "cpd_pairs.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["algorithm", "first", "second", "cpd"])
-        for arm, i, j, value in cpd_rows:
-            writer.writerow([arm, i, j, _fmt(value)])
+    _write_csv(
+        root / "comparison.csv",
+        ("algorithm", "final_accuracy", "final_loss", "rounds_to_target"),
+        comparison,
+    )
+    _write_csv(root / "cpd_pairs.csv", ("algorithm", "first", "second", "cpd"), cpd_rows)
     print(f"ablation complete: {root}")
     return 0
 
 
-def _parse_list(raw: str, kind) -> list:
+def _parse_list(raw: str) -> list[str]:
     items = [part.strip() for part in raw.split(",") if part.strip()]
     if not items:
         raise ConfigurationError(f"empty list: {raw!r}")
-    return [kind(item) for item in items]
+    return items
 
 
 def cmd_grid(args) -> int:
     settings, overrides = _config_settings(args)
-    kinds = _parse_list(args.kinds, str)
-    alphas = _parse_list(args.alphas, float)
-    betas = _parse_list(args.betas, int)
-
-    # Every cell resolves before any of them runs.
-    cells = []
-    for kind in kinds:
-        for alpha in alphas:
-            for beta in betas:
-                cell = dict(overrides)
-                cell["growth.kind"] = kind
-                cell["growth.alpha"] = repr(alpha)
-                cell["growth.beta"] = str(beta)
-                cells.append((kind, alpha, beta, resolve(settings, cell)))
+    # Every cell resolves before any of them runs; resolve checks each item.
+    cells = [
+        resolve(
+            settings,
+            {**overrides, "growth.kind": kind, "growth.alpha": alpha, "growth.beta": beta},
+        )
+        for kind in _parse_list(args.kinds)
+        for alpha in _parse_list(args.alphas)
+        for beta in _parse_list(args.betas)
+    ]
 
     name = args.name or f"{Path(args.config).stem}-grid"
     root = _out_root(args) / name
     root.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for kind, alpha, beta, resolved in cells:
-        summary = _execute_run(resolved, root / f"{kind}-{alpha!r}-{beta}", args)
+    for resolved in cells:
+        growth = resolved.experiment.growth
+        summary, _ = _execute_run(resolved, root / f"{growth.kind}-{growth.alpha!r}-{growth.beta}")
         finished = summary["rounds"] > 0
         rows.append(
             (
-                kind,
-                alpha,
-                beta,
+                growth.kind,
+                growth.alpha,
+                growth.beta,
                 summary["final_loss"] if finished else math.nan,
                 summary["final_accuracy"] if finished else math.nan,
             )
         )
-    with open(root / "grid.csv", "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["kind", "alpha", "beta", "final_loss", "final_accuracy"])
-        for kind, alpha, beta, loss, acc in rows:
-            writer.writerow([kind, _fmt(alpha), beta, _fmt(loss), _fmt(acc)])
+    _write_csv(root / "grid.csv", ("kind", "alpha", "beta", "final_loss", "final_accuracy"), rows)
     print(f"grid complete: {root} ({len(rows)} cells)")
     return 0
 
 
 def cmd_report(args) -> int:
-    with open(args.csv, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if tuple(header) != CSV_COLUMNS:
-            raise ConfigurationError(f"unexpected CSV header in {args.csv}: {header}")
-        rows = [(int(row[0]), float(row[3]), float(row[4])) for row in reader]
+    try:
+        with open(args.csv, newline="", encoding="utf-8") as handle:
+            table = list(csv.reader(handle))
+    except (OSError, ValueError, csv.Error) as exc:
+        raise ConfigurationError(f"cannot read {args.csv}: {exc}") from None
+    header = table[0] if table else None
+    if header is None or tuple(header) != CSV_COLUMNS:
+        raise ConfigurationError(f"unexpected CSV header in {args.csv}: {header}")
+    try:
+        rows = [(int(row[0]), float(row[3]), float(row[4])) for row in table[1:]]
+    except (ValueError, IndexError) as exc:
+        raise ConfigurationError(f"bad row in {args.csv}: {exc}") from None
     print(json.dumps(_summary(rows, args.target_accuracy), indent=2, sort_keys=True))
     return 0
 

@@ -275,16 +275,20 @@ def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return assignment
 
 
+def _members(assignment: np.ndarray, num_clusters: int) -> np.ndarray:
+    """(L, q) member table: row ``l`` is cluster ``l``'s point ids, ascending.
+
+    Raises ``RuntimeError`` on unequal cluster sizes, which the balance rules out.
+    """
+    sizes = np.bincount(assignment, minlength=num_clusters)
+    if len(sizes) != num_clusters or (sizes != sizes[0]).any():
+        raise RuntimeError(f"unbalanced clusters despite the balance constraint: {sizes}")
+    return np.argsort(assignment, kind="stable").reshape(num_clusters, -1)
+
+
 def cluster_update(points: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     """Move each centroid to the mean of its members."""
-    num_clusters = int(assignment.max()) + 1
-    centroids = np.empty((num_clusters, points.shape[1]))
-    for l in range(num_clusters):
-        members = points[assignment == l]
-        if len(members) == 0:
-            raise RuntimeError(f"cluster {l} is empty despite the balance constraint")
-        centroids[l] = members.mean(axis=0)
-    return centroids
+    return points[_members(assignment, int(assignment.max()) + 1)].mean(axis=1)
 
 
 def constrained_cluster(
@@ -332,10 +336,8 @@ def constrained_cluster(
 def _centroid_report(
     pts: np.ndarray, rows: np.ndarray, state: ClusterState
 ) -> GroupCentroidReport:
-    spreads = np.empty(state.cluster_count)
-    for l in range(state.cluster_count):
-        diff = pts[state.assignment == l] - state.centroids[l]
-        spreads[l] = float(np.sum(diff * diff, axis=1).max())
+    diff = pts[_members(state.assignment, state.cluster_count)] - state.centroids[:, None]
+    spreads = np.sum(diff * diff, axis=2).max(axis=1)
     global_centroid = state.centroids.mean(axis=0)
     group_centroids = pts[rows].mean(axis=1)
     errors = np.sum((group_centroids - global_centroid) ** 2, axis=1)
@@ -403,8 +405,7 @@ def inter_cluster_grouping(
 
     # rows[m, l]: the participant row that cluster l deals to group m.
     rows = np.empty((group_count, group_size), dtype=np.int64)
-    for l in range(group_size):
-        members = np.flatnonzero(state.assignment == l)
+    for l, members in enumerate(_members(state.assignment, group_size)):
         order = generator(icg_seed, "cluster-deal", l).permutation(len(members))
         rows[:, l] = members[order[:group_count]]
     if group_size > 1:

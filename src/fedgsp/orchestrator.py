@@ -24,6 +24,7 @@ import hashlib
 import json
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -81,8 +82,12 @@ def growth_eval(growth: GrowthFunction, round_index: int) -> int:
     log:    beta * floor(alpha * ln(r) + 1)
     exp:    beta * floor((1 + alpha) ** (r - 1))
 
-    All three saturate at ``GROWTH_CAP`` instead of overflowing; callers cap
-    the result at the client count.
+    The closed form is exact (acceptance criterion 7) up to a saturation
+    point: for exp, where ``(r - 1) * ln(1 + alpha)`` reaches 700; for linear
+    and log, where the term inside the floor reaches ``GROWTH_CAP``. From
+    there on the result is ``GROWTH_CAP``, never inf or an OverflowError.
+    Before it the result can exceed ``GROWTH_CAP`` (exp at alpha = 1, r = 100
+    is 2**99). Callers cap the result at the client count.
     """
     if round_index < 1:
         raise ValueError(f"round_index must be >= 1, got {round_index}")
@@ -202,9 +207,8 @@ class ExperimentState:
     params: ModelParams
     # Rounds 1..k so far; the run's only progress state.
     records: list[RoundRecord] = field(default_factory=list)
-    # Diagnostics for tests and audit dumps; refreshed every round.
+    # The last round's plan, for audit dumps; refreshed every round.
     last_plan: GroupingPlan | None = None
-    last_sampled: tuple[int, ...] = ()
 
 
 def new_experiment_state(config: ExperimentConfig) -> ExperimentState:
@@ -287,7 +291,6 @@ def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
     )
     state.records.append(record)
     state.last_plan = plan
-    state.last_sampled = tuple(int(g) for g in sampled)
     return record
 
 
@@ -381,20 +384,19 @@ def run_rounds(
     state: ExperimentState,
     checkpoint_path: str | None = None,
     checkpoint_every: int | None = None,
-    on_round=None,
-) -> None:
-    """Run the rounds after ``state.records`` up to ``config.rounds``.
+) -> Iterator[RoundRecord]:
+    """Run the rounds after ``state.records`` up to ``config.rounds``, yielding each record.
 
     Takes the arguments :func:`preflight` checked: a checkpoint is written to
-    ``checkpoint_path`` after every ``checkpoint_every`` completed rounds, and
-    ``on_round(state, record)`` is called after each round.
+    ``checkpoint_path`` after every ``checkpoint_every`` completed rounds,
+    before that round's record is yielded. Rounds run only as the caller
+    iterates.
     """
     for round_index in range(len(state.records) + 1, state.config.rounds + 1):
         record = run_round(state, round_index)
-        if on_round is not None:
-            on_round(state, record)
         if checkpoint_every is not None and round_index % checkpoint_every == 0:
             save_checkpoint(state, checkpoint_path)
+        yield record
 
 
 def run_experiment(
@@ -402,7 +404,6 @@ def run_experiment(
     resume_from: str | None = None,
     checkpoint_path: str | None = None,
     checkpoint_every: int | None = None,
-    on_round=None,
 ) -> tuple[list[RoundRecord], ModelParams]:
     """Run all configured rounds; deterministic for a fixed config.
 
@@ -412,12 +413,13 @@ def run_experiment(
         checkpoint_path: Where to write checkpoints (required with
             ``checkpoint_every``).
         checkpoint_every: Write a checkpoint after every N >= 1 completed rounds.
-        on_round: Optional ``callback(state, record)`` invoked after each round.
 
     Returns:
         Every record of the run, restored ones included, and the final global
-        model.
+        model. To act on each round as it completes, iterate
+        :func:`run_rounds` over the state :func:`preflight` returns instead.
     """
     state = preflight(config, resume_from, checkpoint_path, checkpoint_every)
-    run_rounds(state, checkpoint_path, checkpoint_every, on_round)
+    for _ in run_rounds(state, checkpoint_path, checkpoint_every):
+        pass
     return state.records, state.params

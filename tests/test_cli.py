@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedgsp.orchestrator
-from fedgsp.cli import main
+from fedgsp.cli import ABLATION_ARMS, main
 from fedgsp.config import (
     canonical_serialization,
     load_config_file,
@@ -509,6 +509,26 @@ class TestCmdAblation:
             ]
         assert pairs[1:] == expected
 
+    def test_each_arm_builds_its_task_once(self, tmp_path, config_path, monkeypatch):
+        calls = []
+        original = fedgsp.orchestrator.generate_task
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fedgsp.orchestrator, "generate_task", counted)
+        argv = ["ablation", "--config", str(config_path), "--out", str(tmp_path / "out")]
+        assert main(argv + ["--set", "rounds=1"]) == 0
+        assert len(calls) == len(ABLATION_ARMS)
+
+    def test_zero_rounds_leaves_comparison_cells_empty(self, tmp_path, config_path):
+        out = tmp_path / "out"
+        argv = ["ablation", "--config", str(config_path), "--out", str(out)]
+        assert main(argv + ["--set", "rounds=0"]) == 0
+        comparison = read_rows(out / "smoke-ablation" / "comparison.csv")
+        assert comparison[1:] == [[arm, "", "", ""] for arm in ABLATION_ARMS]
+
     @pytest.mark.parametrize("value", ["x", "-3"])
     def test_bad_fixed_group_count_fails_before_any_arm(
         self, tmp_path, config_path, capsys, value
@@ -572,6 +592,17 @@ class TestCmdGrid:
         argv = ["grid", "--config", str(config_path), "--out", str(out), "--set", "rounds=1"]
         assert main(argv + ["--kinds", "log,cubic", "--alphas", "1", "--betas", "2"]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lists", [["--alphas", "1,x", "--betas", "2"],
+                                       ["--alphas", "1", "--betas", "2.5"]])
+    def test_bad_list_item_is_config_error(self, tmp_path, config_path, capsys, lists):
+        out = tmp_path / "out"
+        argv = ["grid", "--config", str(config_path), "--out", str(out), "--set", "rounds=1"]
+        assert main(argv + ["--kinds", "log"] + lists) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "growth.alpha" in err or "growth.beta" in err
         assert not out.exists()
 
     def test_cell_reproducible_via_run(self, tmp_path, config_path):
@@ -643,6 +674,24 @@ class TestCmdReport:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         assert main(["report", "--csv", str(bad)]) == 1
+
+    def test_missing_csv_is_config_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["report", "--csv", str(missing)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and str(missing) in err
+
+    def test_non_numeric_cell_is_config_error(self, tmp_path, config_path, capsys):
+        out = tmp_path / "out"
+        main(["run", "--config", str(config_path), "--out", str(out)])
+        rows = read_rows(out / "smoke" / "rounds.csv")
+        rows[1][3] = "high"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(",".join(row) + "\n" for row in rows))
+        capsys.readouterr()
+        assert main(["report", "--csv", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and str(bad) in err
 
 
 class TestManifestReproducibility:

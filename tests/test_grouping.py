@@ -192,7 +192,43 @@ class TestAssignmentAgainstOracles:
             cluster_assignment(points, points[::-1].copy())
 
 
+def per_cluster_loop_oracle(points, assignment, centroids):
+    """The per-cluster mask loops: (member means, spreads about ``centroids``)."""
+    num_clusters = int(assignment.max()) + 1
+    means = np.empty((num_clusters, points.shape[1]))
+    spreads = np.empty(num_clusters)
+    for l in range(num_clusters):
+        members = points[assignment == l]
+        means[l] = members.mean(axis=0)
+        diff = members - centroids[l]
+        spreads[l] = float(np.sum(diff * diff, axis=1).max())
+    return means, spreads
+
+
 class TestClusterUpdate:
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_member_table_bytes_match_per_cluster_loop(self, data):
+        num_clusters = data.draw(st.integers(1, 39), label="L")
+        quota = data.draw(st.integers(1, 39), label="q")
+        num_classes = data.draw(st.integers(1, 12), label="C")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        points = rng.random((num_clusters * quota, num_classes)) * rng.choice([1.0, 50.0])
+        assignment = rng.permutation(np.repeat(np.arange(num_clusters), quota))
+        centroids = cluster_update(points, assignment)
+        state = grouping.ClusterState(centroids=centroids, assignment=assignment)
+        rows = rng.permutation(len(points))[:num_clusters][None, :]
+        spreads = grouping._centroid_report(points, rows, state).cluster_spreads
+        expected_means, expected_spreads = per_cluster_loop_oracle(points, assignment, centroids)
+        assert centroids.tobytes() == expected_means.tobytes()
+        assert spreads.tobytes() == expected_spreads.tobytes()
+
+    @pytest.mark.parametrize("assignment", [[0, 0, 1], [0, 0, 2, 2], [1, 1, 0, 0, 0, 1, 1]])
+    def test_unbalanced_assignment_raises(self, assignment):
+        points = np.arange(len(assignment), dtype=float)[:, None]
+        with pytest.raises(RuntimeError, match="unbalanced"):
+            cluster_update(points, np.array(assignment))
+
     def test_single_member(self):
         points = np.array([[3.0, 7.0]])
         assert np.array_equal(cluster_update(points, np.array([0])), points)

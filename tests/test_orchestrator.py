@@ -17,11 +17,13 @@ from fedgsp.orchestrator import (
     growth_eval,
     load_checkpoint,
     new_experiment_state,
+    preflight,
     run_experiment,
     run_round,
+    run_rounds,
     save_checkpoint,
 )
-from fedgsp.rng import stream_id
+from fedgsp.rng import generator, stream_id
 from fedgsp.trainer import ModelSpec, SgdConfig
 
 from test_trainer import chained_sgd_oracle
@@ -97,6 +99,21 @@ class TestGrowthEval:
         growth = GrowthFunction(kind, 1e308, 3)
         values = [growth_eval(growth, r) for r in range(1, 101)]
         assert values == [3] + [GROWTH_CAP] * 99
+
+    @pytest.mark.parametrize(
+        "kind, alpha, beta, round_index",
+        [("exp", 1.0, 1, 100), ("linear", 1e18, 10, 3), ("log", 1e18, 10, 3)],
+    )
+    def test_exact_above_cap_before_saturation(self, kind, alpha, beta, round_index):
+        # The float term is still below the saturation point, so the value is
+        # the closed form, which here already exceeds GROWTH_CAP.
+        inner = {
+            "exp": (1 + alpha) ** (round_index - 1),
+            "linear": alpha * (round_index - 1) + 1,
+            "log": alpha * math.log(round_index) + 1,
+        }[kind]
+        value = growth_eval(GrowthFunction(kind, alpha, beta), round_index)
+        assert value == beta * math.floor(inner) > GROWTH_CAP
 
     def test_rejects_round_zero(self):
         with pytest.raises(ValueError):
@@ -181,9 +198,12 @@ class TestRunRound:
     def test_participation_matches_sampled_groups(self):
         config = make_config(rounds=1)
         state = new_experiment_state(config)
-        run_round(state, 1)
+        record = run_round(state, 1)
         plan = state.last_plan
-        trained = [c for g in state.last_sampled for c in plan.groups[g]]
+        sampled = generator(config.run_seed, "group-sample", 1).choice(
+            plan.group_count, size=record.sampled_groups, replace=False
+        )
+        trained = [c for g in sampled for c in plan.groups[g]]
         assert len(trained) == len(set(trained))
 
     def test_single_chain_equals_centralized_oracle(self):
@@ -286,6 +306,28 @@ class TestRunExperiment:
         a, _ = run_experiment(frozen)
         b, _ = run_experiment(icg)
         assert a == b
+
+    @pytest.mark.parametrize("done", [0, 2])
+    def test_run_rounds_yields_the_remaining_records_in_order(self, done):
+        config = make_config(rounds=5)
+        straight, _ = run_experiment(config)
+        state = new_experiment_state(config)
+        for round_index in range(1, done + 1):
+            run_round(state, round_index)
+        yielded = list(run_rounds(state))
+        assert [r.round_index for r in yielded] == list(range(done + 1, 6))
+        assert yielded == straight[done:] == state.records[done:]
+
+    def test_run_rounds_checkpoints_before_yielding(self, tmp_path):
+        config = make_config(rounds=5)
+        checkpoint = str(tmp_path / "checkpoint.json")
+        state = preflight(config, checkpoint_path=checkpoint, checkpoint_every=2)
+        rounds = run_rounds(state, checkpoint, 2)
+        assert next(rounds).round_index == 1
+        assert not (tmp_path / "checkpoint.json").exists()
+        assert next(rounds).round_index == 2
+        assert load_checkpoint(checkpoint)[0] == state.records[:2]
+        assert len(state.records) == 2  # round 3 waits for the next request
 
     def test_checkpoint_resume_is_bit_identical(self, tmp_path):
         config = make_config(rounds=6)
