@@ -242,15 +242,23 @@ def cmd_grid(args) -> int:
         for alpha in _parse_list(args.alphas)
         for beta in _parse_list(args.betas)
     ]
+    # Resolving coerces items ("1" and "1.0" are one alpha), so repeats show only now.
+    cell_names = []
+    for resolved in cells:
+        growth = resolved.experiment.growth
+        cell_name = f"{growth.kind}-{growth.alpha!r}-{growth.beta}"
+        if cell_name in cell_names:
+            raise ConfigurationError(f"grid cell {cell_name} is listed twice")
+        cell_names.append(cell_name)
 
     name = args.name or f"{Path(args.config).stem}-grid"
     root = _out_root(args) / name
     root.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for resolved in cells:
+    for resolved, cell_name in zip(cells, cell_names):
         growth = resolved.experiment.growth
-        summary, _ = _execute_run(resolved, root / f"{growth.kind}-{growth.alpha!r}-{growth.beta}")
+        summary, _ = _execute_run(resolved, root / cell_name)
         finished = summary["rounds"] > 0
         rows.append(
             (

@@ -17,7 +17,10 @@ A round trains G chains of L clients, and every client holds n samples, so
 is one stacked update on a (G, P) parameter array, with batched matrix
 products in place of G separate ones. Each chain's result is bit-identical
 to training its clients one at a time with :func:`train_one_client`, which
-stays as that one-client reference (acceptance criterion 5).
+stays as that one-client reference (acceptance criterion 5). Each epoch's
+batches are gathered once, subtracting a one-hot of the labels equals the
+indexed subtraction bit for bit, and a failed divergence screen is re-checked
+exactly before anything is raised.
 """
 
 from __future__ import annotations
@@ -211,39 +214,6 @@ def train_one_client(
     return ModelParams(values=values, layout=params.layout)
 
 
-def _chain_loss_and_gradient(
-    layers: dict[str, np.ndarray],
-    features: np.ndarray,
-    labels: np.ndarray,
-    grads: dict[str, np.ndarray],
-) -> np.ndarray:
-    """Per-chain mean cross-entropy of a stacked (G, b) batch.
-
-    Writes each chain's gradient into the (G, *shape) views ``grads``. Row g
-    computes exactly what :func:`loss_and_gradient` computes for chain g.
-    """
-    batch = labels.shape[1]
-    logits, hidden = _forward(layers, features)
-    log_probs = _log_softmax(logits)
-    picked = (np.arange(len(labels))[:, None], np.arange(batch), labels)
-    loss = -log_probs[picked].mean(axis=1)
-
-    delta = np.exp(log_probs)
-    delta[picked] -= 1.0
-    delta /= batch
-
-    if hidden is None:
-        np.matmul(_transposed(delta), features, out=grads["w"])
-        np.sum(delta, axis=1, out=grads["b"])
-    else:
-        upstream = (delta @ layers["w2"]) * (1.0 - hidden * hidden)
-        np.matmul(_transposed(upstream), features, out=grads["w1"])
-        np.sum(upstream, axis=1, out=grads["b1"])
-        np.matmul(_transposed(delta), hidden, out=grads["w2"])
-        np.sum(delta, axis=1, out=grads["b2"])
-    return loss
-
-
 def train_chains(
     params: ModelParams, clients, groups: np.ndarray, batch_seeds, config: SgdConfig
 ) -> np.ndarray:
@@ -256,6 +226,11 @@ def train_chains(
     and step t of every chain runs as one stacked update. Row g of the result
     equals the parameter vector of chain g trained alone, bit for bit.
 
+    Each step repeats :func:`loss_and_gradient` op for op on basic slices of
+    the epoch's gathered batches, except that it subtracts a float64 one-hot
+    in place of indexing the label entries (``x - 0.0 == x``), and that it
+    computes no loss unless its one-reduction screen is non-finite.
+
     Raises:
         TrainingDivergedError: On a non-finite loss, gradient or parameter,
             naming the chain (row of ``groups``), its client and position,
@@ -267,8 +242,13 @@ def train_chains(
     n = labels.shape[1]
     values = np.tile(params.values, (len(groups), 1))
     grads = np.empty_like(values)
+    # Views into values and grads: they follow the in-place updates.
     layers = _split(values, params.layout)
     grad_layers = _split(grads, params.layout)
+    transposed = {name: _transposed(view) for name, view in layers.items() if name[0] == "w"}
+    biases = {name: view[..., None, :] for name, view in layers.items() if name[0] == "b"}
+    mlp = "w1" in layers
+    classes = np.arange(layers["b2" if mlp else "b"].shape[-1])
 
     def diverged(finite: np.ndarray, position: int, where: str) -> TrainingDivergedError:
         chain = int(np.argmin(finite))
@@ -286,19 +266,51 @@ def train_chains(
                     for seed in batch_seeds[:, position]
                 ]
             )
+            xs = features[members, orders]
+            ys = labels[members, orders]
+            onehots = (ys[..., None] == classes).astype(np.float64)
             for start in range(0, n, config.batch_size):
-                idx = orders[:, start : start + config.batch_size]
-                loss = _chain_loss_and_gradient(
-                    layers, features[members, idx], labels[members, idx], grad_layers
+                batch_slice = slice(start, start + config.batch_size)
+                x = xs[:, batch_slice]
+                onehot = onehots[:, batch_slice]
+                batch = x.shape[1]
+                if mlp:
+                    hidden = np.tanh(x @ transposed["w1"] + biases["b1"])
+                    logits = hidden @ transposed["w2"] + biases["b2"]
+                else:
+                    logits = x @ transposed["w"] + biases["b"]
+                shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+                log_probs = shifted - np.log(
+                    np.add.reduce(np.exp(shifted), axis=-1, keepdims=True)
                 )
-                finite = np.isfinite(loss) & np.isfinite(grads).all(axis=1)
-                if not finite.all():
-                    raise diverged(
-                        finite,
-                        position,
-                        f"loss/gradient at epoch {epoch}, batch {start // config.batch_size}",
-                    )
-                values -= config.learning_rate * grads
+
+                delta = np.exp(log_probs)
+                delta -= onehot
+                delta /= batch
+                if mlp:
+                    upstream = (delta @ layers["w2"]) * (1.0 - hidden * hidden)
+                    np.matmul(_transposed(upstream), x, out=grad_layers["w1"])
+                    np.add.reduce(upstream, axis=1, out=grad_layers["b1"])
+                    np.matmul(_transposed(delta), hidden, out=grad_layers["w2"])
+                    np.add.reduce(delta, axis=1, out=grad_layers["b2"])
+                else:
+                    np.matmul(_transposed(delta), x, out=grad_layers["w"])
+                    np.add.reduce(delta, axis=1, out=grad_layers["b"])
+
+                # A non-finite entry makes this sum non-finite; a finite sum
+                # that overflows is re-checked exactly before anything raises.
+                if not math.isfinite(np.vdot(log_probs, onehot) + np.add.reduce(grads, axis=None)):
+                    picked = (np.arange(len(groups))[:, None], np.arange(batch), ys[:, batch_slice])
+                    loss = -log_probs[picked].mean(axis=1)
+                    finite = np.isfinite(loss) & np.isfinite(grads).all(axis=1)
+                    if not finite.all():
+                        raise diverged(
+                            finite,
+                            position,
+                            f"loss/gradient at epoch {epoch}, batch {start // config.batch_size}",
+                        )
+                grads *= config.learning_rate
+                values -= grads
         finite = np.isfinite(values).all(axis=1)
         if not finite.all():
             raise diverged(finite, position, "parameters after local training")

@@ -594,6 +594,16 @@ class TestCmdGrid:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_cell_is_config_error(self, tmp_path, config_path, capsys):
+        # "1" and "1.0" resolve to the same alpha, hence the same cell.
+        out = tmp_path / "out"
+        argv = ["grid", "--config", str(config_path), "--out", str(out), "--set", "rounds=1"]
+        assert main(argv + ["--kinds", "log", "--alphas", "1,1.0", "--betas", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "log-1.0-2" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("lists", [["--alphas", "1,x", "--betas", "2"],
                                        ["--alphas", "1", "--betas", "2.5"]])
     def test_bad_list_item_is_config_error(self, tmp_path, config_path, capsys, lists):

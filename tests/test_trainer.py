@@ -307,6 +307,96 @@ class TestTrainChains:
         with pytest.raises(TrainingDivergedError, match=r"^chain 0 .*non-finite parameters"):
             train_chains(init_model(spec), clients, [[0]], [[7]], config)
 
+    @staticmethod
+    def assert_rows_match_train_one_client(params, clients, groups, seeds, config):
+        trained = train_chains(params, clients, groups, seeds, config)
+        for row, members, chain_seeds in zip(trained, groups, seeds):
+            current = params
+            for client, seed in zip(members, chain_seeds):
+                one = Dataset(clients.features[client], clients.labels[client])
+                current = train_one_client(current, one, config, batch_seed=seed)
+            assert row.tobytes() == current.values.tobytes()
+
+    @staticmethod
+    def overflowing_logits(label):
+        # Logits (1e308, -1e308): the shifted logits are (0, -inf), so the
+        # log-probabilities are (0, -inf) and the gradient stays finite.
+        spec = ModelSpec(kind="softmax_linear", feature_dim=1, num_classes=2)
+        params = ModelParams(values=np.array([1.0, -1.0, 0.0, 0.0]), layout=init_model(spec).layout)
+        clients = Dataset(features=np.full((1, 1, 1), 1e308), labels=np.array([[label]]))
+        return params, clients
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infinite_loss_with_finite_gradient_is_divergence(self):
+        params, clients = self.overflowing_logits(label=1)
+        _, grad = loss_and_gradient(params, clients.features[0], clients.labels[0])
+        assert np.all(np.isfinite(grad))
+        named = r"^chain 0 \(client 0, position 0\): non-finite loss/gradient at epoch 0, batch 0"
+        with pytest.raises(TrainingDivergedError, match=named):
+            train_chains(params, clients, [[0]], [[3]], SgdConfig(batch_size=1))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_step_with_infinite_log_probability_trains(self):
+        # Label 0 picks the finite log-probability: the loss and the gradient
+        # are 0, though the other class's log-probability is -inf.
+        params, clients = self.overflowing_logits(label=0)
+        self.assert_rows_match_train_one_client(
+            params, clients, [[0]], [[3]], SgdConfig(batch_size=1)
+        )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_gradients_with_overflowing_sum_train(self):
+        # Every sample predicts class 0 and is labelled 2, so the class-0 row
+        # of the gradient is the batch mean of features near 1e307: each
+        # entry is finite, but the row's 64 entries add up past float64.
+        rng = np.random.default_rng(11)
+        spec = ModelSpec(kind="softmax_linear", feature_dim=64, num_classes=3)
+        weights = np.repeat([[1.0], [0.0], [-1.0]], 64, axis=1) * 1e-9
+        params = ModelParams(
+            values=np.concatenate([weights.ravel(), np.zeros(3)]), layout=init_model(spec).layout
+        )
+        clients = Dataset(
+            features=np.abs(rng.standard_normal((2, 4, 64))) * 1e307,
+            labels=np.full((2, 4), 2),
+        )
+        _, grad = loss_and_gradient(params, clients.features[0], clients.labels[0])
+        assert np.all(np.isfinite(grad))
+        assert not math.isfinite(np.sum(grad))
+        self.assert_rows_match_train_one_client(
+            params, clients, [[0], [1]], [[5], [6]], SgdConfig(learning_rate=0.0, batch_size=2)
+        )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_in_a_later_epoch_names_it(self):
+        # Every step of the first epoch passes the check; chain 1 meets a
+        # non-finite loss or gradient at the first step of its second epoch.
+        spec = ModelSpec(
+            kind="mlp_one_hidden", feature_dim=3, num_classes=3, hidden_units=4, init_seed=2
+        )
+        features = np.zeros((2, 6, 3))
+        features[0] = np.random.default_rng(3).standard_normal((6, 3))
+        clients = Dataset(features=features, labels=np.tile([0, 1, 2, 0, 1, 2], (2, 1)))
+        config = SgdConfig(learning_rate=3e307, batch_size=3, local_epochs=2)
+        named = r"^chain 1 \(client 1, position 0\): non-finite loss/gradient at epoch 1, batch 0"
+        with pytest.raises(TrainingDivergedError, match=named):
+            train_chains(init_model(spec), clients, [[1, 1], [1, 0]], [[1, 2], [3, 4]], config)
+
+    def test_inputs_not_mutated(self):
+        rng = np.random.default_rng(9)
+        spec = ModelSpec(
+            kind="mlp_one_hidden", feature_dim=3, num_classes=3, hidden_units=4, init_seed=1
+        )
+        params = init_model(spec)
+        clients = Dataset(
+            features=rng.standard_normal((3, 7, 3)), labels=rng.integers(0, 3, size=(3, 7))
+        )
+        groups = np.array([[0, 2], [1, 0]])
+        seeds = np.array([[4, 5], [6, 7]], dtype=np.uint64)
+        inputs = (params.values, clients.features, clients.labels, groups, seeds)
+        before = [array.tobytes() for array in inputs]
+        train_chains(params, clients, groups, seeds, SgdConfig(learning_rate=0.1, batch_size=3))
+        assert [array.tobytes() for array in inputs] == before
+
 
 class TestEvaluate:
     def test_zero_params_loss_is_log_classes(self):
