@@ -112,7 +112,9 @@ def _execute_run(
     Argument errors surface before ``run_dir`` or its manifest is touched.
     Each round's grouping plan goes to ``groupings.jsonl`` as the round
     completes; ``rounds.csv`` and ``summary.json`` are written once the run
-    finishes, so a failed run leaves neither.
+    finishes, so a failed run leaves neither. A failed run's manifest names
+    the round it failed in, one past the last completed round, as
+    ``failed_round``.
     """
     checkpoint_path = (
         str(run_dir / "checkpoint.json") if checkpoint_every is not None else None
@@ -150,6 +152,7 @@ def _execute_run(
     except Exception as exc:
         manifest["status"] = "failed"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
+        manifest["failed_round"] = len(state.records) + 1
         manifest["finished_at"] = _now()
         _write_json(manifest_path, manifest)
         raise

@@ -153,14 +153,21 @@ def clustering_objective(
 
 
 def _cheapest_moves(
-    scaled: np.ndarray, assignment: np.ndarray, clusters: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cheapest single-client move out of each of the sorted ``clusters``.
+    scaled: np.ndarray,
+    assignment: np.ndarray,
+    clusters: np.ndarray,
+    swap: np.ndarray,
+    mover: np.ndarray,
+    ties: np.ndarray,
+) -> None:
+    """Refresh rows ``clusters`` (sorted) of the move tables in place.
 
-    Returns ``(swap, mover)``, both ``(len(clusters), L)``: ``swap[i, b]`` is
-    the least ``scaled[j, b] - scaled[j, a]`` over the members ``j`` of
-    ``a = clusters[i]``, and ``mover[i, b]`` the lowest client id attaining
-    it. Where ``a`` is empty, ``swap`` is ``UNREACHED`` and ``mover`` is -1.
+    For a member-holding cluster ``a``, ``swap[a, b]`` is the least
+    ``scaled[j, b] - scaled[j, a]`` over the members ``j`` of ``a``,
+    ``mover[a, b]`` the lowest client id attaining it and ``ties[a, b]`` how
+    many members attain it. The row of an empty cluster is left as it is; the
+    caller fills the tables with ``UNREACHED``, -1 and 0 first, and a cluster
+    that holds members never empties again.
     """
     num_points, num_clusters = scaled.shape
     chosen = np.zeros(num_clusters, dtype=bool)
@@ -178,11 +185,10 @@ def _cheapest_moves(
     attains = delta == np.repeat(least, sizes[occupied], axis=0)
     ids = np.where(attains, members[:, None], num_points)
 
-    swap = np.full((len(clusters), num_clusters), UNREACHED, dtype=np.int64)
-    mover = np.full((len(clusters), num_clusters), -1, dtype=np.int64)
-    swap[occupied] = least
-    mover[occupied] = np.minimum.reduceat(ids, starts, axis=0)
-    return swap, mover
+    rows = clusters[occupied]
+    swap[rows] = least
+    mover[rows] = np.minimum.reduceat(ids, starts, axis=0)
+    ties[rows] = np.add.reduceat(attains, starts, axis=0)
 
 
 def _cheapest_path(swap: np.ndarray, excess: np.ndarray) -> list[int]:
@@ -238,6 +244,25 @@ def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     member of lowest id, and a path ends at the nearest under-full cluster of
     lowest index.
 
+    A one-edge path moves its u lowest-id tied members at once, as u one-unit
+    searches would: u is the least of the source's excess, the target's
+    deficit and the number of members of ``a`` whose extra cost to ``b``
+    equals ``swap[a, b]``. Longer paths move one unit. On the path
+    ``[a, b]``, ``a`` is a source at distance 0 and ``b`` the nearest
+    under-full cluster, at ``D = swap[a, b]`` with ``pred[b] = a`` from the
+    first pass. With ``C`` the integer costs, moving the lowest-id tied
+    member ``j`` lowers no distance:
+
+    - row ``a`` only loses a member, so none of its edges gets cheaper;
+    - row ``b`` gains ``j``, and a path through one of its new edges
+      ``b -> c`` costs ``D + C[j, c] - C[j, b] = C[j, c] - C[j, a]``, which
+      is at least the old ``swap[a, c]``: never cheaper than leaving ``a``
+      directly.
+
+    So ``b`` stays at ``D`` while a tied member is left, no under-full cluster
+    comes nearer (or ties it at a lower index), and the next search would
+    return ``[a, b]`` again and move the next lowest id.
+
     Raises:
         ValueError: If the points cannot fill the clusters equally.
         OverflowError: If path costs could leave the signed 64-bit range.
@@ -261,16 +286,26 @@ def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
     assignment = scaled.argmin(axis=1)
     excess = np.bincount(assignment, minlength=num_clusters) - quota
-    swap = np.empty((num_clusters, num_clusters), dtype=np.int64)
-    mover = np.empty((num_clusters, num_clusters), dtype=np.int64)
+    swap = np.full((num_clusters, num_clusters), UNREACHED, dtype=np.int64)
+    mover = np.full((num_clusters, num_clusters), -1, dtype=np.int64)
+    ties = np.zeros((num_clusters, num_clusters), dtype=np.int64)
     touched = np.arange(num_clusters)
     while excess.max() > 0:
-        swap[touched], mover[touched] = _cheapest_moves(scaled, assignment, touched)
+        _cheapest_moves(scaled, assignment, touched, swap, mover, ties)
         path = _cheapest_path(swap, excess)
-        for a, b in zip(path, path[1:]):
-            assignment[mover[a, b]] = b
-        excess[path[0]] -= 1
-        excess[path[-1]] += 1
+        source, target = path[0], path[-1]
+        units = 1
+        if len(path) == 2:
+            units = min(excess[source], -excess[target], ties[source, target])
+        if units == 1:
+            for a, b in zip(path, path[1:]):
+                assignment[mover[a, b]] = b
+        else:
+            members = np.flatnonzero(assignment == source)  # ids ascending
+            extra = scaled[members, target] - scaled[members, source]
+            assignment[members[extra == swap[source, target]][:units]] = target
+        excess[source] -= units
+        excess[target] += units
         touched = np.sort(path)
     return assignment
 

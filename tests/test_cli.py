@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fedgsp.orchestrator
+import fedgsp.trainer
 from fedgsp.cli import ABLATION_ARMS, main
 from fedgsp.config import (
     canonical_serialization,
@@ -458,6 +459,25 @@ class TestCmdRun:
         assert manifest["status"] == "failed"
         assert manifest["error"] == "TrainingDivergedError: non-finite loss"
         assert manifest["finished_at"] is not None
+        assert manifest["failed_round"] == 1
+        assert not (out / "smoke" / "rounds.csv").exists()
+
+        calls = []
+        train_chains = fedgsp.trainer.train_chains
+
+        def diverge_on_third_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise TrainingDivergedError("non-finite loss")
+            return train_chains(*args, **kwargs)
+
+        monkeypatch.setattr(fedgsp.orchestrator, "train_chains", diverge_on_third_call)
+        out = tmp_path / "third"
+        argv = ["run", "--config", str(config_path), "--out", str(out), "--set", "rounds=4"]
+        assert main(argv) == 2
+        manifest = json.loads((out / "smoke" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["failed_round"] == 3
         assert not (out / "smoke" / "rounds.csv").exists()
 
 

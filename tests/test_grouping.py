@@ -12,6 +12,7 @@ from fedgsp.grouping import (
     COST_SCALE,
     UNREACHED,
     GroupingPlan,
+    _cheapest_moves,
     _cheapest_path,
     cluster_assignment,
     cluster_update,
@@ -101,6 +102,28 @@ def assignment_cost(costs, assignment):
     return int(costs[np.arange(len(assignment)), assignment].sum())
 
 
+def one_unit_assignment_oracle(points, centroids):
+    """``cluster_assignment`` moving one client per search, whatever the path."""
+    num_clusters = len(centroids)
+    quota = len(points) // num_clusters
+    scaled = scaled_costs(points, centroids)
+    assignment = scaled.argmin(axis=1)
+    excess = np.bincount(assignment, minlength=num_clusters) - quota
+    swap = np.full((num_clusters, num_clusters), UNREACHED, dtype=np.int64)
+    mover = np.full((num_clusters, num_clusters), -1, dtype=np.int64)
+    ties = np.zeros((num_clusters, num_clusters), dtype=np.int64)
+    touched = np.arange(num_clusters)
+    while excess.max() > 0:
+        _cheapest_moves(scaled, assignment, touched, swap, mover, ties)
+        path = _cheapest_path(swap, excess)
+        for a, b in zip(path, path[1:]):
+            assignment[mover[a, b]] = b
+        excess[path[0]] -= 1
+        excess[path[-1]] += 1
+        touched = np.sort(path)
+    return assignment
+
+
 class TestAssignmentAgainstOracles:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -144,7 +167,9 @@ class TestAssignmentAgainstOracles:
         assert np.array_equal(cluster_assignment(points, centroids), assignment)
 
     @pytest.mark.parametrize("skew", ["dirichlet", "shards"])
-    @pytest.mark.parametrize("num_points,num_clusters", [(120, 15), (240, 60)])
+    @pytest.mark.parametrize(
+        "num_points,num_clusters", [(120, 15), (240, 60), (1000, 25), (1000, 250)]
+    )
     def test_equal_cost_to_scipy_at_scale(self, skew, num_points, num_clusters):
         from scipy.optimize import linear_sum_assignment
 
@@ -173,6 +198,65 @@ class TestAssignmentAgainstOracles:
         points = np.zeros((6, 2))
         centroids = np.ones((3, 2))
         assert cluster_assignment(points, centroids).tolist() == [1, 1, 2, 2, 0, 0]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_one_unit_searches(self, data):
+        num_clusters = data.draw(st.integers(1, 12), label="L")
+        quota = data.draw(st.integers(1, 6), label="q")
+        num_points = num_clusters * quota
+        dim = data.draw(st.integers(1, 3), label="dim")
+        # Few distinct rows with small entries: many clients tie on every edge.
+        pool = data.draw(st.integers(1, num_points), label="distinct rows")
+        rows = np.array(
+            data.draw(st.lists(st.lists(st.integers(0, 3), min_size=dim, max_size=dim),
+                               min_size=pool, max_size=pool), label="rows"),
+            dtype=float,
+        )
+        picks = data.draw(st.lists(st.integers(0, pool - 1), min_size=num_points,
+                                   max_size=num_points), label="picks")
+        points = rows[picks]
+        centroids = np.array(
+            data.draw(st.lists(st.lists(st.integers(0, 7), min_size=dim, max_size=dim),
+                               min_size=num_clusters, max_size=num_clusters),
+                      label="centroids"),
+            dtype=float,
+        ) / 2
+        assert np.array_equal(
+            cluster_assignment(points, centroids), one_unit_assignment_oracle(points, centroids)
+        )
+
+    @pytest.mark.parametrize(
+        "xs,centroids,expected",
+        [
+            # Source excess: clusters 0 (excess 2) and 1 (excess 1) feed the
+            # empty cluster 2. The path [0, 2] has five tied members and a
+            # deficit of 3, so it moves 2; then [1, 2] moves 1.
+            ([0, 0, 0, 0, 0, 10, 10, 10, 10], [0, 10, 4], [2, 2, 0, 0, 0, 2, 1, 1, 1]),
+            # Target deficit: six tied members in cluster 0 (excess 4). The
+            # path [0, 1] stops at cluster 1's deficit of 2; [0, 2] moves 2.
+            ([0, 0, 0, 0, 0, 0], [0, 1, 2], [1, 1, 2, 2, 0, 0]),
+            # Tied count: cluster 0 holds two distinct rows and only the two
+            # 1s attain the cheapest move to cluster 1, below the excess and
+            # deficit of 3; a second search moves the lowest-id 0.
+            ([0, 0, 0, 0, 0, 1, 1, 3], [0, 3], [1, 0, 0, 0, 0, 1, 1, 1]),
+        ],
+        ids=["source-excess", "target-deficit", "tied-count"],
+    )
+    def test_one_edge_path_caps(self, monkeypatch, xs, centroids, expected):
+        searches = []
+
+        def counted(swap, excess):
+            searches.append(None)
+            return _cheapest_path(swap, excess)
+
+        points = np.array(xs, dtype=float)[:, None]
+        centers = np.array(centroids, dtype=float)[:, None]
+        oracle = one_unit_assignment_oracle(points, centers)
+        monkeypatch.setattr(grouping, "_cheapest_path", counted)
+        assignment = cluster_assignment(points, centers)
+        assert assignment.tolist() == oracle.tolist() == expected
+        assert len(searches) == 2
 
     def test_path_search_guards(self):
         # Cluster 0 is over-full and cluster 2 under-full. With no edges, 2 is
