@@ -144,10 +144,20 @@ def _forward(layers: dict[str, np.ndarray], features: np.ndarray):
     Takes one model and (b, d) features, or a stack of G models and
     (G, b, d) features.
     """
+    # Bias and activation work in place (same bits as out-of-place), so a
+    # forward pass holds one (b, H) buffer where it held two. With two, an
+    # evaluation on a 1000-row test set could peak past glibc's heap-trim
+    # threshold, and every later round then faulted its pages in afresh.
     if "w1" in layers:
-        hidden = np.tanh(features @ _transposed(layers["w1"]) + layers["b1"][..., None, :])
-        return hidden @ _transposed(layers["w2"]) + layers["b2"][..., None, :], hidden
-    return features @ _transposed(layers["w"]) + layers["b"][..., None, :], None
+        hidden = features @ _transposed(layers["w1"])
+        hidden += layers["b1"][..., None, :]
+        np.tanh(hidden, out=hidden)
+        logits = hidden @ _transposed(layers["w2"])
+        logits += layers["b2"][..., None, :]
+        return logits, hidden
+    logits = features @ _transposed(layers["w"])
+    logits += layers["b"][..., None, :]
+    return logits, None
 
 
 def _transposed(weights: np.ndarray) -> np.ndarray:
@@ -319,7 +329,8 @@ def train_chains(
 
 def evaluate(params: ModelParams, dataset) -> tuple[float, float]:
     """Accuracy (argmax-match fraction) and mean cross-entropy on a dataset."""
-    logits, _ = _forward(_split(params.values, params.layout), dataset.features)
+    # The hidden activation is dropped before the softmax temporaries exist.
+    logits = _forward(_split(params.values, params.layout), dataset.features)[0]
     log_probs = _log_softmax(logits)
     predictions = np.argmax(logits, axis=1)
     accuracy = float(np.mean(predictions == dataset.labels))
