@@ -1,6 +1,7 @@
 """Experiment runner CLI: ``run``, ``ablation``, ``grid``, ``report``.
 
-Every run writes a manifest (config snapshot + content hash + timestamps), a
+Every run writes a manifest (config snapshot + content hash + timestamps +
+numpy version, on whose ``Generator`` and reduction order the bytes rest), a
 per-round CSV with a fixed column schema, and a summary JSON. CSV bytes are a
 pure function of the config, so two runs of the same config diff clean; only
 manifests carry wall-clock timestamps.
@@ -127,6 +128,7 @@ def _execute_run(
     summary_path = run_dir / "summary.json"
     manifest = {
         "artifact_version": __version__,
+        "numpy": np.__version__,
         "config": resolved.snapshot,
         "config_hash": resolved.content_hash,
         "seed": resolved.seed,

@@ -2,10 +2,11 @@
 
 The round's clients are split into ``L`` equal-size clusters of similar
 distributions (alternating exact balanced assignment / centroid update, with
-the assignment step solved by successive shortest paths over the L clusters),
-then each group draws one client from every cluster, so all groups end up
-with near-identical overall class mixes. ``L`` is both the cluster count and
-the group size: with ``M`` groups requested over ``K`` clients,
+the assignment step solved by successive shortest paths over the L clusters,
+each Bellman-Ford search moving units along all of its vertex-disjoint tree
+paths), then each group draws one client from every cluster, so all groups
+end up with near-identical overall class mixes. ``L`` is both the cluster
+count and the group size: with ``M`` groups requested over ``K`` clients,
 ``L = K // M`` and only ``L * (K // L)`` subsampled clients take part in the
 round.
 
@@ -34,6 +35,10 @@ COST_SCALE = 10**6
 MAX_ALTERNATIONS = 10
 CENTROID_TOLERANCE = 1e-6
 UNREACHED = 2**62  # distance sentinel of the assignment's shortest paths
+# Most elements in one block's (rows, clusters, classes) difference tensor of
+# the assignment's cost build: 256 KB, which stays in cache. A K = 120, L = 15
+# round over 10 classes is one block.
+ASSIGNMENT_BLOCK_ELEMENTS = 2**15
 
 PLAN_FORMAT_VERSION = 1
 
@@ -152,6 +157,28 @@ def clustering_objective(
     return 0.5 * float(np.sum(diff * diff))
 
 
+def _scaled_costs(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(K, L) integer costs ``round(0.5 * ||point - centroid||^2 * 1e6)``.
+
+    Built over blocks of consecutive points, each block's difference tensor
+    at most ``ASSIGNMENT_BLOCK_ELEMENTS`` elements, so memory grows with K*L,
+    not K*L*C. Every cost sums its C squared differences along a contiguous
+    last axis, so the bits match a one-shot build.
+    """
+    num_points, num_clusters = len(points), len(centroids)
+    span = max(1, ASSIGNMENT_BLOCK_ELEMENTS // max(1, num_clusters * points.shape[1]))
+    blocks = []
+    for start in range(0, num_points, span):
+        diff = points[start : start + span, None, :] - centroids[None, :, :]
+        blocks.append(0.5 * np.sum(diff * diff, axis=-1))
+    cost = np.concatenate(blocks)
+    # Path costs then stay below UNREACHED // 4 in magnitude, so adding the
+    # sentinel cannot overflow and no real distance reaches it.
+    if float(cost.max()) * COST_SCALE * num_clusters >= UNREACHED // 4:
+        raise OverflowError("assignment costs exceed the signed 64-bit range")
+    return np.rint(cost * COST_SCALE).astype(np.int64)
+
+
 def _cheapest_moves(
     scaled: np.ndarray,
     assignment: np.ndarray,
@@ -191,39 +218,72 @@ def _cheapest_moves(
     ties[rows] = np.add.reduceat(attains, starts, axis=0)
 
 
-def _cheapest_path(swap: np.ndarray, excess: np.ndarray) -> list[int]:
-    """Cheapest chain of moves from an over-full to an under-full cluster.
+def _shortest_paths(swap: np.ndarray, excess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shortest distances and tree predecessors from the over-full clusters.
 
     Bellman-Ford over the L clusters with ``swap`` as edge costs, from
-    distance 0 at every over-full cluster; it ends at the nearest under-full
-    cluster (lowest index on ties). Only clusters whose distance fell in the
-    previous pass are relaxed again. The zero-cost edge ``a -> a`` never
-    lowers a distance, so it needs no masking.
+    distance 0 at every over-full cluster (a root, ``pred`` -1). Each pass
+    relaxes only the clusters whose distance fell in the previous one, and a
+    cluster's predecessor is the lowest-index tail among its cheapest
+    relaxations of that pass. The zero-cost edge ``a -> a`` never lowers a
+    distance, so it needs no masking. Raises ``RuntimeError`` on a negative
+    cycle or when no under-full cluster is reached.
     """
     num_clusters = len(excess)
-    dist = np.where(excess > 0, 0, UNREACHED)
+    roots = excess > 0
+    dist = np.where(roots, 0, UNREACHED)
     pred = np.full(num_clusters, -1)
-    frontier = np.flatnonzero(excess > 0)
+    frontier = np.flatnonzero(roots)
+    columns = np.arange(num_clusters)
     for _ in range(num_clusters):
         via = dist[frontier, None] + swap[frontier]
         tail = via.argmin(axis=0)
-        best = via[tail, np.arange(num_clusters)]
-        better = best < dist
-        if not better.any():
+        best = via[tail, columns]
+        better = np.flatnonzero(best < dist)
+        if not len(better):
             break
         dist[better] = best[better]
         pred[better] = frontier[tail[better]]
-        frontier = np.flatnonzero(better)
+        frontier = better
     else:
         raise RuntimeError("negative cycle in the balanced-assignment cluster graph")
-    under = np.flatnonzero(excess < 0)
-    target = under[np.argmin(dist[under])]
-    if dist[target] == UNREACHED:
+    if dist[excess < 0].min() == UNREACHED:
         raise RuntimeError("no under-full cluster is reachable")
-    path = [int(target)]
-    while pred[path[-1]] >= 0:
-        path.append(int(pred[path[-1]]))
-    return path[::-1]
+    return dist, pred
+
+
+def _disjoint_paths(dist: np.ndarray, pred: np.ndarray, excess: np.ndarray) -> list[list[int]]:
+    """Vertex-disjoint tree paths from over-full roots to under-full clusters.
+
+    Under-full targets come in ascending (``dist``, index) order. Each is
+    traced back by ``pred`` to its root and skipped if the trace meets a
+    cluster of an earlier trace: a taken path, or a trace that itself met
+    one. Every path starts at a root, so the scan stops once each root has
+    its path.
+    """
+    excess, pred, dist = excess.tolist(), pred.tolist(), dist.tolist()
+    roots, targets = 0, []
+    for node, units in enumerate(excess):
+        if units < 0:
+            targets.append(node)
+        elif units > 0 and pred[node] < 0:
+            roots += 1
+    targets.sort(key=dist.__getitem__)  # stable: index order within a distance
+    seen: set[int] = set()
+    paths = []
+    for node in targets:
+        trace = []
+        while node >= 0 and node not in seen:
+            trace.append(node)
+            node = pred[node]
+        seen.update(trace)
+        if node < 0 and len(trace) > 1:  # a lone trace is an unreached target
+            trace.reverse()
+            paths.append(trace)
+            roots -= 1
+            if not roots:
+                break
+    return paths
 
 
 def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -232,36 +292,47 @@ def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     Exact on the integer costs ``round(0.5 * ||point - centroid||^2 * 1e6)``
     (half-to-even) with ``len(points) / len(centroids)`` members per cluster.
     Successive shortest paths on the L-node cluster graph: every point starts
-    at its cheapest cluster, then while a cluster is over its quota, one point
-    moves along each edge of a cheapest path from an over-full to an
-    under-full cluster. The edge ``a -> b`` costs the least extra cost of
-    moving one member of ``a`` to ``b``. Starting from the unconstrained
-    optimum leaves no negative cycle, and shortest-path moves keep it so, which
-    makes the final assignment optimal.
+    at its cheapest cluster, then while a cluster is over its quota, one
+    Bellman-Ford search from all over-full clusters gives each cluster a
+    distance ``d`` and a tree predecessor, and units move along
+    vertex-disjoint tree paths to under-full clusters. The edge ``a -> b``
+    costs ``swap[a, b]``, the least extra cost of moving one member of ``a``
+    to ``b``. Starting from the unconstrained optimum leaves no negative
+    cycle, and the moves keep it so, which makes the final assignment
+    optimal.
 
-    Ties break by a fixed rule, so repeated calls return identical arrays: a
-    point starts at its cheapest cluster of lowest index, an edge moves its
-    member of lowest id, and a path ends at the nearest under-full cluster of
-    lowest index.
+    Ties break by a fixed rule, so repeated calls return identical arrays. A
+    point starts at its cheapest cluster of lowest index, and the paths of
+    one search are chosen so:
 
-    A one-edge path moves its u lowest-id tied members at once, as u one-unit
-    searches would: u is the least of the source's excess, the target's
-    deficit and the number of members of ``a`` whose extra cost to ``b``
-    equals ``swap[a, b]``. Longer paths move one unit. On the path
-    ``[a, b]``, ``a`` is a source at distance 0 and ``b`` the nearest
-    under-full cluster, at ``D = swap[a, b]`` with ``pred[b] = a`` from the
-    first pass. With ``C`` the integer costs, moving the lowest-id tied
-    member ``j`` lowers no distance:
+    - under-full targets are taken in ascending (``d``, index) order;
+    - each target's tree path is traced by its predecessors, each the
+      lowest-index tail among a cluster's cheapest relaxations, and the
+      target is skipped if its path meets a cluster used earlier in this
+      search;
+    - the scan stops once every over-full root has its path;
+    - a one-edge path ``[a, b]`` moves the u lowest-id members of ``a``
+      whose extra cost to ``b`` equals ``swap[a, b]``, with u the least of
+      ``a``'s excess, ``b``'s deficit and that member count; every other path
+      moves one member per edge, the lowest-id one attaining ``swap``.
 
-    - row ``a`` only loses a member, so none of its edges gets cheaper;
-    - row ``b`` gains ``j``, and a path through one of its new edges
-      ``b -> c`` costs ``D + C[j, c] - C[j, b] = C[j, c] - C[j, a]``, which
-      is at least the old ``swap[a, c]``: never cheaper than leaving ``a``
-      directly.
+    With one over-full cluster every tree path starts there, so a search
+    moves only the path to the nearest under-full cluster of lowest index.
 
-    So ``b`` stays at ``D`` while a tied member is left, no under-full cluster
-    comes nearer (or ties it at a lower index), and the next search would
-    return ``[a, b]`` again and move the next lowest id.
+    Why no negative cycle appears: with ``C`` the integer costs and the
+    potentials ``d``, every tree edge ``a -> b`` has zero reduced cost
+    ``swap[a, b] + d[a] - d[b]``, and every edge a non-negative one. The
+    paths share no cluster, so a row loses at most its own movers and gains
+    at most its predecessor's:
+
+    - a row that only loses members gets no cheaper edge;
+    - a mover ``j`` from ``a`` to ``b``, each tied member of a one-edge path
+      included, has ``C[j, b] - C[j, a] = swap[a, b] = d[b] - d[a]``, so
+      its new edges ``b -> c`` have reduced cost ``C[j, c] - C[j, b] + d[b]
+      - d[c] = C[j, c] - C[j, a] + d[a] - d[c] >= swap[a, c] + d[a] - d[c]
+      >= 0``.
+
+    All reduced costs stay non-negative, so every cycle costs at least 0.
 
     Raises:
         ValueError: If the points cannot fill the clusters equally.
@@ -276,14 +347,7 @@ def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         )
     quota = num_points // num_clusters
 
-    diff = points[:, None, :] - centroids[None, :, :]
-    cost = 0.5 * np.sum(diff * diff, axis=-1)
-    # Path costs then stay below UNREACHED // 4 in magnitude, so adding the
-    # sentinel cannot overflow and no real distance reaches it.
-    if float(cost.max()) * COST_SCALE * num_clusters >= UNREACHED // 4:
-        raise OverflowError("assignment costs exceed the signed 64-bit range")
-    scaled = np.rint(cost * COST_SCALE).astype(np.int64)
-
+    scaled = _scaled_costs(points, centroids)
     assignment = scaled.argmin(axis=1)
     excess = np.bincount(assignment, minlength=num_clusters) - quota
     swap = np.full((num_clusters, num_clusters), UNREACHED, dtype=np.int64)
@@ -292,21 +356,26 @@ def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     touched = np.arange(num_clusters)
     while excess.max() > 0:
         _cheapest_moves(scaled, assignment, touched, swap, mover, ties)
-        path = _cheapest_path(swap, excess)
-        source, target = path[0], path[-1]
-        units = 1
-        if len(path) == 2:
-            units = min(excess[source], -excess[target], ties[source, target])
-        if units == 1:
-            for a, b in zip(path, path[1:]):
-                assignment[mover[a, b]] = b
-        else:
-            members = np.flatnonzero(assignment == source)  # ids ascending
-            extra = scaled[members, target] - scaled[members, source]
-            assignment[members[extra == swap[source, target]][:units]] = target
-        excess[source] -= units
-        excess[target] += units
-        touched = np.sort(path)
+        paths = _disjoint_paths(*_shortest_paths(swap, excess), excess)
+        tails, heads = [], []  # the edges that move one unit each
+        for path in paths:
+            source, target = path[0], path[-1]
+            units = 1
+            if len(path) == 2:
+                units = min(excess[source], -excess[target], ties[source, target])
+            if units == 1:
+                tails += path[:-1]
+                heads += path[1:]
+            else:
+                members = np.flatnonzero(assignment == source)  # ids ascending
+                extra = scaled[members, target] - scaled[members, source]
+                assignment[members[extra == swap[source, target]][:units]] = target
+            excess[source] -= units
+            excess[target] += units
+        if tails:
+            heads = np.array(heads)
+            assignment[mover[np.array(tails), heads]] = heads
+        touched = np.array(sorted(node for path in paths for node in path))
     return assignment
 
 

@@ -136,6 +136,7 @@ class TestCmdRun:
         assert len(rows) == 1 + 2  # header + R rounds
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["status"] == "completed"
+        assert manifest["numpy"] == np.__version__  # the byte contract rests on it
         assert manifest["config"]["rounds"] == "2"
         assert manifest["config_hash"] == hashlib.sha256(
             canonical_serialization(manifest["config"]).encode()

@@ -46,8 +46,8 @@ SHARDS_K120 = {
     "model.kind": "softmax_linear",
 }
 GOLDEN_SHARDS_K120 = {
-    "rounds.csv": "e5f37999e2b2739d918262fa1de33b19550d5f1edd68cbbb155fb571b6be58f9",
-    "groupings.jsonl": "4c0b39c8b1ee1876e97f54b6f703df0771700f17ee3abc7d271bd6f31a75f6ca",
+    "rounds.csv": "fcecc2041a98042322d92b27dc5537df6fea75e86faf0f9d3803fea29156ed45",
+    "groupings.jsonl": "c61182b096caf5fb674080e60fb427d4c5ba8d780a88bb85a536bf155956c653",
 }
 
 

@@ -13,7 +13,8 @@ from fedgsp.grouping import (
     UNREACHED,
     GroupingPlan,
     _cheapest_moves,
-    _cheapest_path,
+    _scaled_costs,
+    _shortest_paths,
     cluster_assignment,
     cluster_update,
     clustering_objective,
@@ -102,8 +103,21 @@ def assignment_cost(costs, assignment):
     return int(costs[np.arange(len(assignment)), assignment].sum())
 
 
+def nearest_path(swap, excess):
+    """The one-path search: the tree path to the nearest under-full cluster.
+
+    Ties go to the lowest index; the tree is ``_shortest_paths``'s.
+    """
+    dist, pred = _shortest_paths(swap, excess)
+    under = np.flatnonzero(excess < 0)
+    path = [int(under[np.argmin(dist[under])])]
+    while pred[path[-1]] >= 0:
+        path.append(int(pred[path[-1]]))
+    return path[::-1]
+
+
 def one_unit_assignment_oracle(points, centroids):
-    """``cluster_assignment`` moving one client per search, whatever the path."""
+    """``cluster_assignment`` moving one client along one path per search."""
     num_clusters = len(centroids)
     quota = len(points) // num_clusters
     scaled = scaled_costs(points, centroids)
@@ -115,13 +129,58 @@ def one_unit_assignment_oracle(points, centroids):
     touched = np.arange(num_clusters)
     while excess.max() > 0:
         _cheapest_moves(scaled, assignment, touched, swap, mover, ties)
-        path = _cheapest_path(swap, excess)
+        path = nearest_path(swap, excess)
         for a, b in zip(path, path[1:]):
             assignment[mover[a, b]] = b
         excess[path[0]] -= 1
         excess[path[-1]] += 1
         touched = np.sort(path)
     return assignment
+
+
+def unique_optimum(costs, assignment, num_clusters):
+    """Whether the optimal balanced ``assignment`` is the only optimum.
+
+    Another optimum differs from it by cycles of moves between clusters that
+    cost 0 in all. The cluster graph's edge ``a -> b`` costs the least extra
+    cost of moving a member of ``a`` to ``b``, and no cycle costs below 0.
+    Costing each edge ``(L + 1) * cost - 1`` makes exactly the zero-cost
+    cycles negative, which Floyd-Warshall finds on the diagonal.
+    """
+    extra = costs - costs[np.arange(len(assignment)), assignment][:, None]
+    weight = np.stack([extra[assignment == a].min(axis=0) for a in range(num_clusters)])
+    weight = (num_clusters + 1) * weight - 1
+    np.fill_diagonal(weight, 0)
+    for k in range(num_clusters):
+        weight = np.minimum(weight, weight[:, k, None] + weight[None, k])
+    return bool((np.diagonal(weight) >= 0).all())
+
+
+def check_against_one_unit_searches(points, centroids):
+    """Equal cost to the one-unit oracle, equal bytes where the optimum is unique.
+
+    Returns whether the optimum was unique.
+    """
+    assignment = cluster_assignment(points, centroids)
+    oracle = one_unit_assignment_oracle(points, centroids)
+    costs = scaled_costs(points, centroids)
+    assert assignment_cost(costs, assignment) == assignment_cost(costs, oracle)
+    unique = unique_optimum(costs, assignment, len(centroids))
+    if unique:
+        assert np.array_equal(assignment, oracle)
+    return unique
+
+
+def counted_assignment(monkeypatch, points, centroids):
+    """``cluster_assignment``'s result and how many searches it ran."""
+    searches = []
+
+    def counted(swap, excess):
+        searches.append(None)
+        return _shortest_paths(swap, excess)
+
+    monkeypatch.setattr(grouping, "_shortest_paths", counted)
+    return cluster_assignment(points, centroids), len(searches)
 
 
 class TestAssignmentAgainstOracles:
@@ -222,9 +281,24 @@ class TestAssignmentAgainstOracles:
                       label="centroids"),
             dtype=float,
         ) / 2
-        assert np.array_equal(
-            cluster_assignment(points, centroids), one_unit_assignment_oracle(points, centroids)
-        )
+        check_against_one_unit_searches(points, centroids)
+
+    @pytest.mark.parametrize(
+        "xs,centroids,unique",
+        [
+            # Distinct points, one quota-sized gap each: only one optimum.
+            ([0, 1, 2, 2.2], [0, 2], True),
+            # Twin points on both sides of a tie: swapping them costs 0.
+            ([1, 1, 1, 1], [0, 2], False),
+        ],
+        ids=["unique", "tied"],
+    )
+    def test_byte_oracle_branches(self, xs, centroids, unique):
+        # The Hypothesis test above compares bytes only in the first case;
+        # these fixed inputs make sure both of its branches run.
+        points = np.array(xs, dtype=float)[:, None]
+        centers = np.array(centroids, dtype=float)[:, None]
+        assert check_against_one_unit_searches(points, centers) is unique
 
     @pytest.mark.parametrize(
         "xs,centroids,expected",
@@ -244,19 +318,36 @@ class TestAssignmentAgainstOracles:
         ids=["source-excess", "target-deficit", "tied-count"],
     )
     def test_one_edge_path_caps(self, monkeypatch, xs, centroids, expected):
-        searches = []
-
-        def counted(swap, excess):
-            searches.append(None)
-            return _cheapest_path(swap, excess)
-
         points = np.array(xs, dtype=float)[:, None]
         centers = np.array(centroids, dtype=float)[:, None]
         oracle = one_unit_assignment_oracle(points, centers)
-        monkeypatch.setattr(grouping, "_cheapest_path", counted)
-        assignment = cluster_assignment(points, centers)
+        assignment, searches = counted_assignment(monkeypatch, points, centers)
         assert assignment.tolist() == oracle.tolist() == expected
-        assert len(searches) == 2
+        assert searches == 2
+
+    @pytest.mark.parametrize(
+        "xs,centroids,expected,searches",
+        [
+            # Clusters 0 and 2 are over-full, 1 and 3 under-full. The tree
+            # paths [0, 1] and [2, 3] share no cluster, so one search moves
+            # the 0.2 and the 100.2 together.
+            ([0, 0.1, 0.2, 1, 100, 100.1, 100.2, 101], [0, 1, 100, 101],
+             [0, 0, 1, 1, 2, 2, 3, 3], 1),
+            # Clusters 0 and 3 are over-full. Cluster 1 (distance 0.3) takes
+            # the path [0, 1]; cluster 2's tree path [0, 1, 2] (0.8) shares
+            # it and waits. The next search moves the 50 along [3, 2].
+            ([0, 0.1, 0.2, 1, 2, 50, 50.1, 50.2], [0, 1, 2, 50],
+             [0, 0, 1, 1, 2, 2, 3, 3], 2),
+        ],
+        ids=["disjoint-paths", "shared-cluster-waits"],
+    )
+    def test_disjoint_tree_paths(self, monkeypatch, xs, centroids, expected, searches):
+        points = np.array(xs, dtype=float)[:, None]
+        centers = np.array(centroids, dtype=float)[:, None]
+        assignment, count = counted_assignment(monkeypatch, points, centers)
+        assert assignment.tolist() == expected
+        assert count == searches
+        assert one_unit_assignment_oracle(points, centers).tolist() == expected
 
     def test_path_search_guards(self):
         # Cluster 0 is over-full and cluster 2 under-full. With no edges, 2 is
@@ -264,11 +355,29 @@ class TestAssignmentAgainstOracles:
         excess = np.array([1, 0, -1])
         no_edges = np.full((3, 3), UNREACHED)
         with pytest.raises(RuntimeError, match="reachable"):
-            _cheapest_path(no_edges, excess)
+            _shortest_paths(no_edges, excess)
         cycle = no_edges.copy()
         cycle[0, 1] = cycle[1, 0] = -5
         with pytest.raises(RuntimeError, match="negative cycle"):
-            _cheapest_path(cycle, excess)
+            _shortest_paths(cycle, excess)
+
+    @pytest.mark.parametrize("cap", [1, 7, 60, 2**10, grouping.ASSIGNMENT_BLOCK_ELEMENTS])
+    def test_blocked_costs_match_one_shot_build(self, monkeypatch, cap):
+        rng = np.random.default_rng(cap)
+        points = rng.integers(0, 50, size=(97, 6)) + rng.random((97, 6))
+        centroids = rng.random((11, 6)) * 50
+        monkeypatch.setattr(grouping, "ASSIGNMENT_BLOCK_ELEMENTS", cap)
+        assert np.array_equal(_scaled_costs(points, centroids), scaled_costs(points, centroids))
+
+    def test_gated_round_costs_in_one_block(self):
+        # K = 120, L = 15 over 10 classes, the icg-shards-k120 round shape.
+        assert 120 * 15 * 10 <= grouping.ASSIGNMENT_BLOCK_ELEMENTS
+
+    def test_overflow_guard_sees_every_block(self, monkeypatch):
+        monkeypatch.setattr(grouping, "ASSIGNMENT_BLOCK_ELEMENTS", 2)
+        points = np.array([[0.0], [0.0], [0.0], [1e9]])
+        with pytest.raises(OverflowError):
+            cluster_assignment(points, np.zeros((2, 1)))
 
     def test_costs_beyond_int64_rejected(self):
         points = np.array([[0.0], [1e9]])
