@@ -286,9 +286,11 @@ class TestAssignmentAgainstOracles:
     @pytest.mark.parametrize(
         "xs,centroids,unique",
         [
-            # Distinct points, one quota-sized gap each: only one optimum.
-            ([0, 1, 2, 2.2], [0, 2], True),
-            # Twin points on both sides of a tie: swapping them costs 0.
+            # All three points near 0 start at cluster 0; moving the 0.2 to
+            # cluster 1 is cheaper than any other balanced split.
+            ([0, 0.1, 0.2, 2], [0, 2], True),
+            # Four points midway between the centroids: every split costs
+            # the same.
             ([1, 1, 1, 1], [0, 2], False),
         ],
         ids=["unique", "tied"],
