@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,7 +28,14 @@ from .config import ResolvedRun, load_config_file, parse_override, resolve
 from .errors import ConfigurationError
 from .grouping import group_distributions
 from .metrics import pairwise_cpd
-from .orchestrator import ExperimentState, _build_plan, growth_eval, preflight, run_rounds
+from .orchestrator import (
+    ExperimentState,
+    _build_plan,
+    growth_eval,
+    preflight,
+    record_row,
+    run_rounds,
+)
 
 OUT_ROOT_ENV = "FEDGSP_OUT_ROOT"
 
@@ -162,7 +168,7 @@ def _execute_run(
         if grouping_dump is not None:
             grouping_dump.close()
 
-    _write_csv(csv_path, CSV_COLUMNS, map(astuple, state.records))
+    _write_csv(csv_path, CSV_COLUMNS, map(record_row, state.records))
     summary = _summary(
         [(r.round_index, r.accuracy, r.loss) for r in state.records], resolved.target_accuracy
     )

@@ -4,7 +4,9 @@ The round's clients are split into ``L`` equal-size clusters of similar
 distributions (alternating exact balanced assignment / centroid update, with
 the assignment step solved by successive shortest paths over the L clusters,
 each Bellman-Ford search moving units along all of its vertex-disjoint tree
-paths), then each group draws one client from every cluster, so all groups
+paths, and a search from one over-full cluster whose path is one edge moving
+at once every client the next searches would move along that edge), then
+each group draws one client from every cluster, so all groups
 end up with near-identical overall class mixes. ``L`` is both the cluster
 count and the group size: with ``M`` groups requested over ``K`` clients,
 ``L = K // M`` and only ``L * (K // L)`` subsampled clients take part in the
@@ -286,6 +288,27 @@ def _disjoint_paths(dist: np.ndarray, pred: np.ndarray, excess: np.ndarray) -> l
     return paths
 
 
+def _run_limit(
+    dist: np.ndarray, swap: np.ndarray, excess: np.ndarray, source: int, target: int
+) -> int:
+    """The largest extra cost a one-root search's edge ``[source, target]`` may move.
+
+    ``min(detour, rival)``: ``detour`` is the cheapest way into ``target``
+    other than the direct edge, ``dist[c] + swap[c, target]`` over the
+    clusters ``c`` outside the edge, and ``rival`` the nearest other
+    under-full cluster ``t``, ``dist[t] - (t < target)`` so that an equal
+    distance counts against ``target`` only at a lower index. Neither is
+    below ``swap[source, target]``: the direct edge is a shortest path and
+    ``target`` came first. With one root every cluster is reached, so no sum
+    leaves the int64 range.
+    """
+    bound = dist + swap[:, target]
+    rivals = np.flatnonzero(excess < 0)
+    bound[rivals] = np.minimum(bound[rivals], dist[rivals] - (rivals < target))
+    bound[[source, target]] = UNREACHED
+    return int(bound.min())
+
+
 def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Optimal equal-size assignment of points to the given centroids.
 
@@ -311,13 +334,43 @@ def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
       target is skipped if its path meets a cluster used earlier in this
       search;
     - the scan stops once every over-full root has its path;
-    - a one-edge path ``[a, b]`` moves the u lowest-id members of ``a``
-      whose extra cost to ``b`` equals ``swap[a, b]``, with u the least of
-      ``a``'s excess, ``b``'s deficit and that member count; every other path
-      moves one member per edge, the lowest-id one attaining ``swap``.
+    - a one-edge path ``[a, b]`` takes the members ``j`` of ``a`` in
+      ascending (``delta_j = C[j, b] - C[j, a]``, id) order and moves the
+      longest prefix of at most ``min(excess[a], -excess[b])`` members whose
+      every ``delta_j <= limit``, with ``limit = max(swap[a, b],
+      min(detour, rival))``;
+    - ``detour`` is the cheapest way into ``b`` other than the direct edge,
+      the least ``d[c] + swap[c, b]`` over the clusters ``c`` outside
+      ``{a, b}``, and ``rival`` the nearest other target, the least
+      ``d[t] - (t < b)`` over the other under-full clusters ``t`` (an equal
+      distance stops the run only at a lower index);
+    - in a search with more than one over-full root ``limit = swap[a, b]``:
+      the lowest-id members tied at the cheapest move go;
+    - every other path moves one member per edge, the lowest-id one
+      attaining ``swap``.
 
     With one over-full cluster every tree path starts there, so a search
     moves only the path to the nearest under-full cluster of lowest index.
+    When that path is one edge, it moves exactly what successive such
+    searches would move along it:
+
+    - row ``a`` only loses members, and no row but ``a`` and ``b`` changes;
+    - a moved member ``j`` adds edges ``b -> c`` of cost ``(C[j, c] - C[j,
+      a]) - delta_j``. Members go in ascending ``delta`` and none beyond
+      ``detour``, so a path into ``c`` through ``j`` costs at least
+      ``C[j, c] - C[j, a] >= swap[a, c] >= d[c]``: no distance falls below
+      this search's ``d``;
+    - so the direct edge stays a shortest path into ``b`` while ``delta <=
+      detour``, and stays ``b``'s predecessor, since Bellman-Ford relaxes
+      ``a``'s edges in its first pass and replaces a predecessor only on a
+      strict improvement; and ``b`` stays first in (``d``, index) order
+      while ``delta <= rival``;
+    - each member moved is then the next search's cheapest lowest-id mover,
+      and a run ends at a cap or between two distinct ``delta``, where that
+      search's tied move ends too.
+
+    Neither ``detour`` nor ``rival`` is below ``swap[a, b] = d[b]``, so a
+    run moves at least the tied members.
 
     Why no negative cycle appears: with ``C`` the integer costs and the
     potentials ``d``, every tree edge ``a -> b`` has zero reduced cost
@@ -327,7 +380,7 @@ def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
     - a row that only loses members gets no cheaper edge;
     - a mover ``j`` from ``a`` to ``b``, each tied member of a one-edge path
-      included, has ``C[j, b] - C[j, a] = swap[a, b] = d[b] - d[a]``, so
+      included (a one-root run is a sequence of such searches), has ``C[j, b] - C[j, a] = swap[a, b] = d[b] - d[a]``, so
       its new edges ``b -> c`` have reduced cost ``C[j, c] - C[j, b] + d[b]
       - d[c] = C[j, c] - C[j, a] + d[a] - d[c] >= swap[a, c] + d[a] - d[c]
       >= 0``.
@@ -354,24 +407,39 @@ def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     mover = np.full((num_clusters, num_clusters), -1, dtype=np.int64)
     ties = np.zeros((num_clusters, num_clusters), dtype=np.int64)
     touched = np.arange(num_clusters)
-    while excess.max() > 0:
+    roots = int(np.count_nonzero(excess > 0))  # over-full clusters; none ever refills
+    while roots:
         _cheapest_moves(scaled, assignment, touched, swap, mover, ties)
-        paths = _disjoint_paths(*_shortest_paths(swap, excess), excess)
+        dist, pred = _shortest_paths(swap, excess)
+        paths = _disjoint_paths(dist, pred, excess)
         tails, heads = [], []  # the edges that move one unit each
         for path in paths:
             source, target = path[0], path[-1]
             units = 1
             if len(path) == 2:
-                units = min(excess[source], -excess[target], ties[source, target])
+                limit = swap[source, target]
+                if len(paths) > 1 or roots > 1:
+                    units = min(excess[source], -excess[target], ties[source, target])
+                else:  # one root: run on as far as the next searches would
+                    units = min(excess[source], -excess[target])
+                    if units > 1:
+                        limit = _run_limit(dist, swap, excess, source, target)
             if units == 1:
                 tails += path[:-1]
                 heads += path[1:]
             else:
                 members = np.flatnonzero(assignment == source)  # ids ascending
                 extra = scaled[members, target] - scaled[members, source]
-                assignment[members[extra == swap[source, target]][:units]] = target
+                run = np.flatnonzero(extra <= limit)
+                if limit > swap[source, target]:  # else every extra in the run is swap
+                    run = run[np.argsort(extra[run], kind="stable")]
+                run = run[:units]
+                assignment[members[run]] = target
+                units = len(run)
             excess[source] -= units
             excess[target] += units
+            if not excess[source]:
+                roots -= 1
         if tails:
             heads = np.array(heads)
             assignment[mover[np.array(tails), heads]] = heads

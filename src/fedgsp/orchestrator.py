@@ -23,9 +23,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import os
 from collections.abc import Iterator
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -194,6 +196,11 @@ class RoundRecord:
     d_comm_cum_mb: float
 
 
+# A record's field values in field order: ``dataclasses.astuple`` without its
+# deep copy of every field.
+record_row = operator.attrgetter(*(f.name for f in dataclasses.fields(RoundRecord)))
+
+
 @dataclass
 class ExperimentState:
     """Mutable run state advanced by :func:`run_round`."""
@@ -209,6 +216,15 @@ class ExperimentState:
     records: list[RoundRecord] = field(default_factory=list)
     # The last round's plan, for audit dumps; refreshed every round.
     last_plan: GroupingPlan | None = None
+
+    @cached_property
+    def client_cpd(self) -> float:
+        """Median pairwise CPD of the clients' own class counts, computed once.
+
+        fedavg's plan is one client per group every round, so this is its
+        ``median_group_cpd`` in every round.
+        """
+        return metrics.median_pairwise_cpd(self.counts)
 
 
 def new_experiment_state(config: ExperimentConfig) -> ExperimentState:
@@ -272,10 +288,12 @@ def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
     state.params = ModelParams(values=trained.mean(axis=0), layout=state.params.layout)
 
     accuracy, loss = evaluate(state.params, state.test_set)
-    if plan.group_count >= 2:
-        median_cpd = metrics.median_pairwise_cpd(group_distributions(plan, state.counts))
-    else:
+    if plan.group_count < 2:
         median_cpd = 0.0
+    elif config.algorithm == "fedavg":
+        median_cpd = state.client_cpd
+    else:
+        median_cpd = metrics.median_pairwise_cpd(group_distributions(plan, state.counts))
 
     t_comp_before = state.records[-1].t_comp_cum_s if state.records else 0.0
     record = RoundRecord(
@@ -305,20 +323,22 @@ def save_checkpoint(state: ExperimentState, path: str) -> None:
 
     The config regenerates everything else: the task, the parameter layout,
     and every PRNG sub-stream, which is derived statelessly from
-    ``(run_seed, purpose, round)``. JSON floats round-trip exactly. The dump
-    goes to a temporary file that then replaces ``path``, so a failed write
-    leaves the previous checkpoint intact.
+    ``(run_seed, purpose, round)``. JSON floats round-trip exactly. The text is
+    one ``json.dumps`` (streaming ``json.dump`` writes the same text, more
+    slowly), written to a temporary file that then replaces ``path``, so a
+    failed write leaves the previous checkpoint intact.
     """
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": config_fingerprint(state.config),
         "values": state.params.values.tolist(),
-        "records": [astuple(record) for record in state.records],
+        "records": [record_row(record) for record in state.records],
     }
+    text = json.dumps(payload)
     temporary = f"{path}.tmp"
     try:
         with open(temporary, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
+            handle.write(text)
         os.replace(temporary, path)
     finally:
         if os.path.exists(temporary):

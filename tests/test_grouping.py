@@ -13,6 +13,7 @@ from fedgsp.grouping import (
     UNREACHED,
     GroupingPlan,
     _cheapest_moves,
+    _disjoint_paths,
     _scaled_costs,
     _shortest_paths,
     cluster_assignment,
@@ -136,6 +137,44 @@ def one_unit_assignment_oracle(points, centroids):
         excess[path[-1]] += 1
         touched = np.sort(path)
     return assignment
+
+
+def disjoint_path_oracle(points, centroids):
+    """``cluster_assignment`` without one-root runs: (assignment, searches).
+
+    Every search moves units along its disjoint tree paths, and a one-edge
+    path moves only the members whose extra cost equals ``swap``.
+    """
+    num_clusters = len(centroids)
+    quota = len(points) // num_clusters
+    scaled = scaled_costs(points, centroids)
+    assignment = scaled.argmin(axis=1)
+    excess = np.bincount(assignment, minlength=num_clusters) - quota
+    swap = np.full((num_clusters, num_clusters), UNREACHED, dtype=np.int64)
+    mover = np.full((num_clusters, num_clusters), -1, dtype=np.int64)
+    ties = np.zeros((num_clusters, num_clusters), dtype=np.int64)
+    touched = np.arange(num_clusters)
+    searches = 0
+    while excess.max() > 0:
+        searches += 1
+        _cheapest_moves(scaled, assignment, touched, swap, mover, ties)
+        paths = _disjoint_paths(*_shortest_paths(swap, excess), excess)
+        for path in paths:
+            source, target = path[0], path[-1]
+            units = 1
+            if len(path) == 2:
+                units = min(excess[source], -excess[target], ties[source, target])
+            if units == 1:
+                for a, b in zip(path, path[1:]):
+                    assignment[mover[a, b]] = b
+            else:
+                members = np.flatnonzero(assignment == source)
+                extra = scaled[members, target] - scaled[members, source]
+                assignment[members[extra == swap[source, target]][:units]] = target
+            excess[source] -= units
+            excess[target] += units
+        touched = np.array(sorted(node for path in paths for node in path))
+    return assignment, searches
 
 
 def unique_optimum(costs, assignment, num_clusters):
@@ -303,29 +342,97 @@ class TestAssignmentAgainstOracles:
         assert check_against_one_unit_searches(points, centers) is unique
 
     @pytest.mark.parametrize(
-        "xs,centroids,expected",
+        "xs,centroids,expected,searches",
         [
             # Source excess: clusters 0 (excess 2) and 1 (excess 1) feed the
             # empty cluster 2. The path [0, 2] has five tied members and a
             # deficit of 3, so it moves 2; then [1, 2] moves 1.
-            ([0, 0, 0, 0, 0, 10, 10, 10, 10], [0, 10, 4], [2, 2, 0, 0, 0, 2, 1, 1, 1]),
+            ([0, 0, 0, 0, 0, 10, 10, 10, 10], [0, 10, 4], [2, 2, 0, 0, 0, 2, 1, 1, 1], 2),
             # Target deficit: six tied members in cluster 0 (excess 4). The
             # path [0, 1] stops at cluster 1's deficit of 2; [0, 2] moves 2.
-            ([0, 0, 0, 0, 0, 0], [0, 1, 2], [1, 1, 2, 2, 0, 0]),
+            ([0, 0, 0, 0, 0, 0], [0, 1, 2], [1, 1, 2, 2, 0, 0], 2),
             # Tied count: cluster 0 holds two distinct rows and only the two
             # 1s attain the cheapest move to cluster 1, below the excess and
-            # deficit of 3; a second search moves the lowest-id 0.
-            ([0, 0, 0, 0, 0, 1, 1, 3], [0, 3], [1, 0, 0, 0, 0, 1, 1, 1]),
+            # deficit of 3. Cluster 0 is the only root and has no other way
+            # into cluster 1, so the same search also moves the lowest-id 0.
+            ([0, 0, 0, 0, 0, 1, 1, 3], [0, 3], [1, 0, 0, 0, 0, 1, 1, 1], 1),
         ],
         ids=["source-excess", "target-deficit", "tied-count"],
     )
-    def test_one_edge_path_caps(self, monkeypatch, xs, centroids, expected):
+    def test_one_edge_path_caps(self, monkeypatch, xs, centroids, expected, searches):
         points = np.array(xs, dtype=float)[:, None]
         centers = np.array(centroids, dtype=float)[:, None]
         oracle = one_unit_assignment_oracle(points, centers)
-        assignment, searches = counted_assignment(monkeypatch, points, centers)
+        assignment, count = counted_assignment(monkeypatch, points, centers)
         assert assignment.tolist() == oracle.tolist() == expected
-        assert searches == 2
+        assert count == searches
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_match_disjoint_path_searches(self, data):
+        num_clusters = data.draw(st.integers(2, 8), label="L")
+        quota = data.draw(st.integers(1, 6), label="q")
+        num_points = num_clusters * quota
+        dim = data.draw(st.integers(1, 3), label="dim")
+        if data.draw(st.booleans(), label="tie-heavy"):
+            # Few distinct rows with small entries: many clients tie on every edge.
+            pool, high, scale = data.draw(st.integers(1, num_points), label="rows"), 3, 1
+        else:  # every row its own, on a fine grid: ties are rare
+            pool, high, scale = num_points, 10**4, 1000
+        rows = np.array(
+            data.draw(st.lists(st.lists(st.integers(0, high), min_size=dim, max_size=dim),
+                               min_size=pool, max_size=pool), label="rows"),
+            dtype=float,
+        ) / scale
+        picks = data.draw(st.lists(st.integers(0, pool - 1), min_size=num_points,
+                                   max_size=num_points), label="picks")
+        points = rows[picks]
+        centroids = np.array(
+            data.draw(st.lists(st.lists(st.integers(0, 2 * high), min_size=dim, max_size=dim),
+                               min_size=num_clusters, max_size=num_clusters),
+                      label="centroids"),
+            dtype=float,
+        ) / (2 * scale)
+        oracle, oracle_searches = disjoint_path_oracle(points, centroids)
+        with pytest.MonkeyPatch.context() as patch:
+            assignment, searches = counted_assignment(patch, points, centroids)
+        assert np.array_equal(assignment, oracle)
+        assert searches <= oracle_searches
+
+    @pytest.mark.parametrize(
+        "xs,centroids,expected,searches",
+        [
+            # L = 2: cluster 0 holds five clients over its quota of 6, with
+            # distinct extra costs 50 - 10x to cluster 1. Nothing else leads
+            # into cluster 1, so one search moves the five largest x.
+            ([[x / 10, 0] for x in range(0, 44, 4)] + [[10, 0]], [[0, 0], [10, 0]],
+             [0] * 6 + [1] * 6, 1),
+            # L = 3: cluster 1 is three over, cluster 2 three short. The moves
+            # to cluster 2 cost 7.5 (id 2), 12.5 (id 7) and 32.5 (id 5); the
+            # way in through cluster 0 costs 13.5 + 18 = 31.5. So the first
+            # search moves ids 2 and 7 and stops; a second one moves id 5.
+            ([[0, 7], [0, 7], [6, 5], [0, 8], [5, 0], [1, 10], [6, 1], [5, 8], [0, 1]],
+             [[4, 0], [5, 6], [10, 6]], [1, 1, 2, 1, 0, 2, 0, 2, 0], 2),
+            # Cluster 0 is three over. The centroid at 10 is two short, and its
+            # moves cost 10 (x = 4) and 30 (x = 2); the centroid at -10 is one
+            # short at distance 30 (x = -2). As cluster 2 that rival loses the
+            # tie to cluster 1, so the first search moves both 4 and 2 ...
+            ([[4], [2], [1], [0], [-1], [-2], [10], [-10], [-10]], [[0], [10], [-10]],
+             [1, 1, 0, 0, 0, 2, 1, 2, 2], 2),
+            # ... and as cluster 1 it wins it, so the first search moves only
+            # the 4, the second the -2 and the third the 2.
+            ([[4], [2], [1], [0], [-1], [-2], [10], [-10], [-10]], [[0], [-10], [10]],
+             [2, 2, 0, 0, 0, 1, 2, 1, 1], 3),
+        ],
+        ids=["two-clusters-distinct", "detour-stops-run", "rival-tie-higher", "rival-tie-lower"],
+    )
+    def test_one_root_runs(self, monkeypatch, xs, centroids, expected, searches):
+        points = np.array(xs, dtype=float)
+        centers = np.array(centroids, dtype=float)
+        assignment, count = counted_assignment(monkeypatch, points, centers)
+        assert assignment.tolist() == expected
+        assert count == searches
+        assert disjoint_path_oracle(points, centers)[0].tolist() == expected
 
     @pytest.mark.parametrize(
         "xs,centroids,expected,searches",

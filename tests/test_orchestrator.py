@@ -1,15 +1,25 @@
+import functools
+import io
 import json
 import math
+import tempfile
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedgsp import metrics, orchestrator
 from fedgsp.datagen import Dataset, SyntheticTaskSpec
 from fedgsp.errors import ConfigurationError
+from fedgsp.grouping import group_distributions, singleton_grouping
 from fedgsp.metrics import CostModelParams, t_comp
 from fedgsp.orchestrator import (
+    CHECKPOINT_FORMAT_VERSION,
     GROWTH_CAP,
+    RoundRecord,
     ExperimentConfig,
     GrowthFunction,
     config_fingerprint,
@@ -24,7 +34,7 @@ from fedgsp.orchestrator import (
     save_checkpoint,
 )
 from fedgsp.rng import generator, stream_id
-from fedgsp.trainer import ModelSpec, SgdConfig
+from fedgsp.trainer import ModelParams, ModelSpec, SgdConfig
 
 from test_trainer import chained_sgd_oracle
 
@@ -50,6 +60,19 @@ def make_config(**kwargs):
     )
     base.update(kwargs)
     return ExperimentConfig(**base)
+
+
+# Floats whose shortest repr sits at a format edge: signed zero, subnormals,
+# the largest finite value and the switches to exponent notation.
+REPR_EDGE_FLOATS = st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+     1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 0.1, 1 / 3, -2.5e-310]
+)
+
+
+@functools.lru_cache(maxsize=1)
+def checkpoint_state():
+    return new_experiment_state(make_config(rounds=4))
 
 
 def record_bytes(records):
@@ -406,17 +429,62 @@ class TestRunExperiment:
         before = path.read_bytes()
         run_round(state, 2)
 
-        def torn_dump(payload, handle):
-            handle.write('{"format_version": ')
+        def torn_open(file, mode, **kwargs):
+            with open(file, mode, **kwargs) as handle:
+                handle.write('{"format_version": ')
             raise OSError("disk full")
 
-        monkeypatch.setattr(json, "dump", torn_dump)
+        monkeypatch.setattr(orchestrator, "open", torn_open, raising=False)
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(state, str(path))
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert len(load_checkpoint(str(path))[0]) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_checkpoint_text_is_one_json_dumps(self, data):
+        state = checkpoint_state()
+        size = state.params.values.size
+        floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False), REPR_EDGE_FLOATS)
+        values = data.draw(st.lists(floats, min_size=size, max_size=size), label="values")
+        state.params = ModelParams(np.array(values), state.params.layout)
+        state.records = [
+            RoundRecord(i + 1, *data.draw(st.tuples(*[st.integers(1, 2**62)] * 2, *[floats] * 6)))
+            for i in range(data.draw(st.integers(0, 4), label="records"))
+        ]
+        payload = {
+            "format_version": CHECKPOINT_FORMAT_VERSION,
+            "config": config_fingerprint(state.config),
+            "values": values,
+            "records": [astuple(record) for record in state.records],
+        }
+        streamed = io.StringIO()
+        json.dump(payload, streamed)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "ck.json"
+            save_checkpoint(state, str(path))
+            text = path.read_bytes()
+            assert load_checkpoint(str(path))[0] == state.records
+        assert text == json.dumps(payload).encode() == streamed.getvalue().encode()
+
+    def test_fedavg_computes_its_cpd_once_per_run(self, monkeypatch):
+        config = make_config(algorithm="fedavg")
+        state = new_experiment_state(config)
+        expected = metrics.median_pairwise_cpd(
+            group_distributions(singleton_grouping(10, 1), state.counts)
+        )
+        real, calls = metrics.median_pairwise_cpd, []
+
+        def counted(distributions):
+            calls.append(None)
+            return real(distributions)
+
+        monkeypatch.setattr(metrics, "median_pairwise_cpd", counted)
+        records = list(run_rounds(state))
+        assert len(calls) == 1
+        assert [r.median_group_cpd for r in records] == [expected] * config.rounds
 
     def test_checkpoint_seed_mismatch_rejected(self, tmp_path):
         config = make_config(rounds=2)
