@@ -6,8 +6,8 @@ the assignment step solved by successive shortest paths over the L clusters,
 each Bellman-Ford search moving units along all of its vertex-disjoint tree
 paths, and a search from one over-full cluster whose path is one edge moving
 at once every client the next searches would move along that edge), then
-each group draws one client from every cluster, so all groups
-end up with near-identical overall class mixes. ``L`` is both the cluster
+each group draws one client from every cluster, so all groups end up with
+near-identical overall class mixes. ``L`` is both the cluster
 count and the group size: with ``M`` groups requested over ``K`` clients,
 ``L = K // M`` and only ``L * (K // L)`` subsampled clients take part in the
 round.
@@ -380,10 +380,11 @@ def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
     - a row that only loses members gets no cheaper edge;
     - a mover ``j`` from ``a`` to ``b``, each tied member of a one-edge path
-      included (a one-root run is a sequence of such searches), has ``C[j, b] - C[j, a] = swap[a, b] = d[b] - d[a]``, so
+      included, has ``C[j, b] - C[j, a] = swap[a, b] = d[b] - d[a]``, so
       its new edges ``b -> c`` have reduced cost ``C[j, c] - C[j, b] + d[b]
       - d[c] = C[j, c] - C[j, a] + d[a] - d[c] >= swap[a, c] + d[a] - d[c]
-      >= 0``.
+      >= 0``;
+    - a one-root run is a sequence of such searches.
 
     All reduced costs stay non-negative, so every cycle costs at least 0.
 

@@ -19,9 +19,9 @@ from fedgsp.metrics import CostModelParams, t_comp
 from fedgsp.orchestrator import (
     CHECKPOINT_FORMAT_VERSION,
     GROWTH_CAP,
-    RoundRecord,
     ExperimentConfig,
     GrowthFunction,
+    RoundRecord,
     config_fingerprint,
     group_count_for_round,
     growth_eval,
