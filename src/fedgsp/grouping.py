@@ -2,10 +2,11 @@
 
 The round's clients are split into ``L`` equal-size clusters of similar
 distributions (alternating exact balanced assignment / centroid update, with
-the assignment step solved by successive shortest paths over the L clusters,
-each Bellman-Ford search moving units along all of its vertex-disjoint tree
-paths, and a search from one over-full cluster whose path is one edge moving
-at once every client the next searches would move along that edge), then
+the assignment step solved by successive shortest paths over the L clusters;
+each Bellman-Ford search moves units along all of its vertex-disjoint tree
+paths: a one-edge path a run of its tail's cheapest members, one rule for
+every search, and every other edge the lowest-id cheapest member of its
+tail, all looked up before any member moves), then
 each group draws one client from every cluster, so all groups end up with
 near-identical overall class mixes. ``L`` is both the cluster
 count and the group size: with ``M`` groups requested over ``K`` clients,
@@ -182,42 +183,28 @@ def _scaled_costs(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def _cheapest_moves(
-    scaled: np.ndarray,
-    assignment: np.ndarray,
-    clusters: np.ndarray,
-    swap: np.ndarray,
-    mover: np.ndarray,
-    ties: np.ndarray,
+    scaled: np.ndarray, assignment: np.ndarray, clusters: np.ndarray, swap: np.ndarray
 ) -> None:
-    """Refresh rows ``clusters`` (sorted) of the move tables in place.
+    """Refresh rows ``clusters`` (sorted) of the move table ``swap`` in place.
 
     For a member-holding cluster ``a``, ``swap[a, b]`` is the least
-    ``scaled[j, b] - scaled[j, a]`` over the members ``j`` of ``a``,
-    ``mover[a, b]`` the lowest client id attaining it and ``ties[a, b]`` how
-    many members attain it. The row of an empty cluster is left as it is; the
-    caller fills the tables with ``UNREACHED``, -1 and 0 first, and a cluster
-    that holds members never empties again.
+    ``scaled[j, b] - scaled[j, a]`` over the members ``j`` of ``a``. The row
+    of an empty cluster is left as it is; the caller fills the table with
+    ``UNREACHED`` first, and a cluster that holds members never empties again.
     """
-    num_points, num_clusters = scaled.shape
+    num_clusters = len(swap)
     chosen = np.zeros(num_clusters, dtype=bool)
     chosen[clusters] = True
     members = np.flatnonzero(chosen[assignment])
     owner = assignment[members]
-    order = np.argsort(owner, kind="stable")  # grouped by cluster, ids ascending
+    order = np.argsort(owner, kind="stable")  # grouped by cluster
     members, owner = members[order], owner[order]
     sizes = np.bincount(owner, minlength=num_clusters)[clusters]
     occupied = sizes > 0
     starts = (np.cumsum(sizes) - sizes)[occupied]
 
     delta = scaled[members] - scaled[members, owner][:, None]
-    least = np.minimum.reduceat(delta, starts, axis=0)
-    attains = delta == np.repeat(least, sizes[occupied], axis=0)
-    ids = np.where(attains, members[:, None], num_points)
-
-    rows = clusters[occupied]
-    swap[rows] = least
-    mover[rows] = np.minimum.reduceat(ids, starts, axis=0)
-    ties[rows] = np.add.reduceat(attains, starts, axis=0)
+    swap[clusters[occupied]] = np.minimum.reduceat(delta, starts, axis=0)
 
 
 def _shortest_paths(swap: np.ndarray, excess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,17 +324,17 @@ def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     - a one-edge path ``[a, b]`` takes the members ``j`` of ``a`` in
       ascending (``delta_j = C[j, b] - C[j, a]``, id) order and moves the
       longest prefix of at most ``min(excess[a], -excess[b])`` members whose
-      every ``delta_j <= limit``, with ``limit = max(swap[a, b],
-      min(detour, rival))``;
+      every ``delta_j <= limit``. ``limit = swap[a, b]``, so only the members
+      tied at the cheapest move go, unless the search has one over-full
+      root; then ``limit = min(detour, rival)``;
     - ``detour`` is the cheapest way into ``b`` other than the direct edge,
       the least ``d[c] + swap[c, b]`` over the clusters ``c`` outside
       ``{a, b}``, and ``rival`` the nearest other target, the least
       ``d[t] - (t < b)`` over the other under-full clusters ``t`` (an equal
       distance stops the run only at a lower index);
-    - in a search with more than one over-full root ``limit = swap[a, b]``:
-      the lowest-id members tied at the cheapest move go;
-    - every other path moves one member per edge, the lowest-id one
-      attaining ``swap``.
+    - every other path moves, along each edge, the lowest-id member of the
+      tail that attains ``swap``; these are all looked up before any of
+      them moves.
 
     With one over-full cluster every tree path starts there, so a search
     moves only the path to the nearest under-full cluster of lowest index.
@@ -372,6 +359,11 @@ def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     Neither ``detour`` nor ``rival`` is below ``swap[a, b] = d[b]``, so a
     run moves at least the tied members.
 
+    A member entering along a tree edge is never the cheapest mover along
+    the next one: a path through it costs no less than the direct edge from
+    its old cluster, relaxed a pass earlier. So on a longer path, looking
+    movers up edge by edge as they move would pick the same members.
+
     Why no negative cycle appears: with ``C`` the integer costs and the
     potentials ``d``, every tree edge ``a -> b`` has zero reduced cost
     ``swap[a, b] + d[a] - d[b]``, and every edge a non-negative one. The
@@ -379,7 +371,7 @@ def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     at most its predecessor's:
 
     - a row that only loses members gets no cheaper edge;
-    - a mover ``j`` from ``a`` to ``b``, each tied member of a one-edge path
+    - a mover ``j`` from ``a`` to ``b``, each tied member of a run
       included, has ``C[j, b] - C[j, a] = swap[a, b] = d[b] - d[a]``, so
       its new edges ``b -> c`` have reduced cost ``C[j, c] - C[j, b] + d[b]
       - d[c] = C[j, c] - C[j, a] + d[a] - d[c] >= swap[a, c] + d[a] - d[c]
@@ -405,30 +397,24 @@ def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     assignment = scaled.argmin(axis=1)
     excess = np.bincount(assignment, minlength=num_clusters) - quota
     swap = np.full((num_clusters, num_clusters), UNREACHED, dtype=np.int64)
-    mover = np.full((num_clusters, num_clusters), -1, dtype=np.int64)
-    ties = np.zeros((num_clusters, num_clusters), dtype=np.int64)
     touched = np.arange(num_clusters)
     roots = int(np.count_nonzero(excess > 0))  # over-full clusters; none ever refills
     while roots:
-        _cheapest_moves(scaled, assignment, touched, swap, mover, ties)
+        _cheapest_moves(scaled, assignment, touched, swap)
         dist, pred = _shortest_paths(swap, excess)
         paths = _disjoint_paths(dist, pred, excess)
-        tails, heads = [], []  # the edges that move one unit each
+        tails, heads = [], []  # the edges of longer paths, one unit each
         for path in paths:
             source, target = path[0], path[-1]
-            units = 1
-            if len(path) == 2:
-                limit = swap[source, target]
-                if len(paths) > 1 or roots > 1:
-                    units = min(excess[source], -excess[target], ties[source, target])
-                else:  # one root: run on as far as the next searches would
-                    units = min(excess[source], -excess[target])
-                    if units > 1:
-                        limit = _run_limit(dist, swap, excess, source, target)
-            if units == 1:
+            if len(path) > 2:
                 tails += path[:-1]
                 heads += path[1:]
+                units = 1
             else:
+                units = min(excess[source], -excess[target])
+                limit = swap[source, target]
+                if units > 1 and len(paths) == 1 and roots == 1:
+                    limit = _run_limit(dist, swap, excess, source, target)
                 members = np.flatnonzero(assignment == source)  # ids ascending
                 extra = scaled[members, target] - scaled[members, source]
                 run = np.flatnonzero(extra <= limit)
@@ -441,9 +427,15 @@ def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
             excess[target] += units
             if not excess[source]:
                 roots -= 1
-        if tails:
-            heads = np.array(heads)
-            assignment[mover[np.array(tails), heads]] = heads
+        if tails:  # paths share no cluster, so each tail has one head
+            head_of = np.full(num_clusters, -1)
+            head_of[tails] = heads
+            members = np.flatnonzero(head_of[assignment] >= 0)  # ids ascending
+            owner = assignment[members]
+            head = head_of[owner]
+            hits = members[scaled[members, head] - scaled[members, owner] == swap[owner, head]]
+            owner, first = np.unique(assignment[hits], return_index=True)  # lowest id each
+            assignment[hits[first]] = head_of[owner]  # all found before any moves
         touched = np.array(sorted(node for path in paths for node in path))
     return assignment
 

@@ -12,8 +12,8 @@ from fedgsp.grouping import (
     COST_SCALE,
     UNREACHED,
     GroupingPlan,
-    _cheapest_moves,
     _disjoint_paths,
+    _run_limit,
     _scaled_costs,
     _shortest_paths,
     cluster_assignment,
@@ -117,6 +117,43 @@ def nearest_path(swap, excess):
     return path[::-1]
 
 
+def move_tables(scaled, assignment, clusters, swap, mover, ties):
+    """Refresh rows ``clusters`` (sorted) of three move tables in place.
+
+    ``swap[a, b]`` is the least extra cost of moving a member of ``a`` to
+    ``b``, ``mover[a, b]`` the lowest client id attaining
+    it and ``ties[a, b]`` how many members attain it. Rows of empty clusters
+    keep the caller's fill of ``UNREACHED``, -1 and 0.
+    """
+    num_points, num_clusters = scaled.shape
+    chosen = np.zeros(num_clusters, dtype=bool)
+    chosen[clusters] = True
+    members = np.flatnonzero(chosen[assignment])
+    owner = assignment[members]
+    order = np.argsort(owner, kind="stable")  # grouped by cluster, ids ascending
+    members, owner = members[order], owner[order]
+    sizes = np.bincount(owner, minlength=num_clusters)[clusters]
+    occupied = sizes > 0
+    starts = (np.cumsum(sizes) - sizes)[occupied]
+
+    delta = scaled[members] - scaled[members, owner][:, None]
+    least = np.minimum.reduceat(delta, starts, axis=0)
+    attains = delta == np.repeat(least, sizes[occupied], axis=0)
+    ids = np.where(attains, members[:, None], num_points)
+
+    rows = clusters[occupied]
+    swap[rows] = least
+    mover[rows] = np.minimum.reduceat(ids, starts, axis=0)
+    ties[rows] = np.add.reduceat(attains, starts, axis=0)
+
+
+def empty_move_tables(num_clusters):
+    """``swap``, ``mover`` and ``ties`` before any row is refreshed."""
+    shape = (num_clusters, num_clusters)
+    return (np.full(shape, UNREACHED, dtype=np.int64), np.full(shape, -1, dtype=np.int64),
+            np.zeros(shape, dtype=np.int64))
+
+
 def one_unit_assignment_oracle(points, centroids):
     """``cluster_assignment`` moving one client along one path per search."""
     num_clusters = len(centroids)
@@ -124,12 +161,10 @@ def one_unit_assignment_oracle(points, centroids):
     scaled = scaled_costs(points, centroids)
     assignment = scaled.argmin(axis=1)
     excess = np.bincount(assignment, minlength=num_clusters) - quota
-    swap = np.full((num_clusters, num_clusters), UNREACHED, dtype=np.int64)
-    mover = np.full((num_clusters, num_clusters), -1, dtype=np.int64)
-    ties = np.zeros((num_clusters, num_clusters), dtype=np.int64)
+    swap, mover, ties = empty_move_tables(num_clusters)
     touched = np.arange(num_clusters)
     while excess.max() > 0:
-        _cheapest_moves(scaled, assignment, touched, swap, mover, ties)
+        move_tables(scaled, assignment, touched, swap, mover, ties)
         path = nearest_path(swap, excess)
         for a, b in zip(path, path[1:]):
             assignment[mover[a, b]] = b
@@ -150,14 +185,12 @@ def disjoint_path_oracle(points, centroids):
     scaled = scaled_costs(points, centroids)
     assignment = scaled.argmin(axis=1)
     excess = np.bincount(assignment, minlength=num_clusters) - quota
-    swap = np.full((num_clusters, num_clusters), UNREACHED, dtype=np.int64)
-    mover = np.full((num_clusters, num_clusters), -1, dtype=np.int64)
-    ties = np.zeros((num_clusters, num_clusters), dtype=np.int64)
+    swap, mover, ties = empty_move_tables(num_clusters)
     touched = np.arange(num_clusters)
     searches = 0
     while excess.max() > 0:
         searches += 1
-        _cheapest_moves(scaled, assignment, touched, swap, mover, ties)
+        move_tables(scaled, assignment, touched, swap, mover, ties)
         paths = _disjoint_paths(*_shortest_paths(swap, excess), excess)
         for path in paths:
             source, target = path[0], path[-1]
@@ -173,6 +206,62 @@ def disjoint_path_oracle(points, centroids):
                 assignment[members[extra == swap[source, target]][:units]] = target
             excess[source] -= units
             excess[target] += units
+        touched = np.array(sorted(node for path in paths for node in path))
+    return assignment, searches
+
+
+def move_table_oracle(points, centroids):
+    """``cluster_assignment`` picking movers from the ``mover`` and ``ties`` tables.
+
+    Returns (assignment, searches). A one-edge path in a search with more
+    than one over-full cluster moves ``ties`` members at most; every edge
+    that moves one unit moves ``mover``'s client, all looked up at once.
+    """
+    num_clusters = len(centroids)
+    quota = len(points) // num_clusters
+    scaled = scaled_costs(points, centroids)
+    assignment = scaled.argmin(axis=1)
+    excess = np.bincount(assignment, minlength=num_clusters) - quota
+    swap, mover, ties = empty_move_tables(num_clusters)
+    touched = np.arange(num_clusters)
+    roots = int(np.count_nonzero(excess > 0))
+    searches = 0
+    while roots:
+        searches += 1
+        move_tables(scaled, assignment, touched, swap, mover, ties)
+        dist, pred = _shortest_paths(swap, excess)
+        paths = _disjoint_paths(dist, pred, excess)
+        tails, heads = [], []
+        for path in paths:
+            source, target = path[0], path[-1]
+            units = 1
+            if len(path) == 2:
+                limit = swap[source, target]
+                if len(paths) > 1 or roots > 1:
+                    units = min(excess[source], -excess[target], ties[source, target])
+                else:
+                    units = min(excess[source], -excess[target])
+                    if units > 1:
+                        limit = _run_limit(dist, swap, excess, source, target)
+            if units == 1:
+                tails += path[:-1]
+                heads += path[1:]
+            else:
+                members = np.flatnonzero(assignment == source)
+                extra = scaled[members, target] - scaled[members, source]
+                run = np.flatnonzero(extra <= limit)
+                if limit > swap[source, target]:
+                    run = run[np.argsort(extra[run], kind="stable")]
+                run = run[:units]
+                assignment[members[run]] = target
+                units = len(run)
+            excess[source] -= units
+            excess[target] += units
+            if not excess[source]:
+                roots -= 1
+        if tails:
+            heads = np.array(heads)
+            assignment[mover[np.array(tails), heads]] = heads
         touched = np.array(sorted(node for path in paths for node in path))
     return assignment, searches
 
@@ -220,6 +309,33 @@ def counted_assignment(monkeypatch, points, centroids):
 
     monkeypatch.setattr(grouping, "_shortest_paths", counted)
     return cluster_assignment(points, centroids), len(searches)
+
+
+def draw_assignment_case(data, max_clusters):
+    """(points, centroids) with 2 to ``max_clusters`` clusters, tie-heavy or not."""
+    num_clusters = data.draw(st.integers(2, max_clusters), label="L")
+    quota = data.draw(st.integers(1, 6), label="q")
+    num_points = num_clusters * quota
+    dim = data.draw(st.integers(1, 3), label="dim")
+    if data.draw(st.booleans(), label="tie-heavy"):
+        # Few distinct rows with small entries: many clients tie on every edge.
+        pool, high, scale = data.draw(st.integers(1, num_points), label="rows"), 3, 1
+    else:  # every row its own, on a fine grid: ties are rare
+        pool, high, scale = num_points, 10**4, 1000
+    rows = np.array(
+        data.draw(st.lists(st.lists(st.integers(0, high), min_size=dim, max_size=dim),
+                           min_size=pool, max_size=pool), label="rows"),
+        dtype=float,
+    ) / scale
+    picks = data.draw(st.lists(st.integers(0, pool - 1), min_size=num_points,
+                               max_size=num_points), label="picks")
+    centroids = np.array(
+        data.draw(st.lists(st.lists(st.integers(0, 2 * high), min_size=dim, max_size=dim),
+                           min_size=num_clusters, max_size=num_clusters),
+                  label="centroids"),
+        dtype=float,
+    ) / (2 * scale)
+    return rows[picks], centroids
 
 
 class TestAssignmentAgainstOracles:
@@ -370,34 +486,39 @@ class TestAssignmentAgainstOracles:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_bytes_match_disjoint_path_searches(self, data):
-        num_clusters = data.draw(st.integers(2, 8), label="L")
-        quota = data.draw(st.integers(1, 6), label="q")
-        num_points = num_clusters * quota
-        dim = data.draw(st.integers(1, 3), label="dim")
-        if data.draw(st.booleans(), label="tie-heavy"):
-            # Few distinct rows with small entries: many clients tie on every edge.
-            pool, high, scale = data.draw(st.integers(1, num_points), label="rows"), 3, 1
-        else:  # every row its own, on a fine grid: ties are rare
-            pool, high, scale = num_points, 10**4, 1000
-        rows = np.array(
-            data.draw(st.lists(st.lists(st.integers(0, high), min_size=dim, max_size=dim),
-                               min_size=pool, max_size=pool), label="rows"),
-            dtype=float,
-        ) / scale
-        picks = data.draw(st.lists(st.integers(0, pool - 1), min_size=num_points,
-                                   max_size=num_points), label="picks")
-        points = rows[picks]
-        centroids = np.array(
-            data.draw(st.lists(st.lists(st.integers(0, 2 * high), min_size=dim, max_size=dim),
-                               min_size=num_clusters, max_size=num_clusters),
-                      label="centroids"),
-            dtype=float,
-        ) / (2 * scale)
+        points, centroids = draw_assignment_case(data, max_clusters=8)
         oracle, oracle_searches = disjoint_path_oracle(points, centroids)
         with pytest.MonkeyPatch.context() as patch:
             assignment, searches = counted_assignment(patch, points, centroids)
         assert np.array_equal(assignment, oracle)
         assert searches <= oracle_searches
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_and_searches_match_move_tables(self, data):
+        points, centroids = draw_assignment_case(data, max_clusters=16)
+        oracle, oracle_searches = move_table_oracle(points, centroids)
+        with pytest.MonkeyPatch.context() as patch:
+            assignment, searches = counted_assignment(patch, points, centroids)
+        assert np.array_equal(assignment, oracle)
+        assert searches == oracle_searches
+
+    def test_two_edge_path_moves_lowest_id_cheapest_members(self, monkeypatch):
+        # Cluster 0 is one over and cluster 2 one short; the cheapest way in
+        # is the path [0, 1, 2] (extra costs 10 + 10, against 120 direct).
+        # The 4 (id 0) enters cluster 1 below the 14s (ids 2 and 4) that tie
+        # on the move to cluster 2, and the 10 (id 1) is cluster 1's lowest
+        # id. Each edge moves its tail's lowest-id member attaining ``swap``,
+        # so the 4 stays in cluster 1 and the id-2 14 goes on to cluster 2.
+        # A member entering along a tree edge is never cheapest on the next
+        # one (here 110 against 10), so the look-up order cannot matter.
+        points = np.array([4, 10, 14, 0, 14, 1, 2, 20, 21], dtype=float)[:, None]
+        centers = np.array([0, 10, 20], dtype=float)[:, None]
+        expected = [1, 1, 2, 0, 1, 0, 0, 2, 2]
+        assignment, count = counted_assignment(monkeypatch, points, centers)
+        oracle, oracle_searches = move_table_oracle(points, centers)
+        assert assignment.tolist() == oracle.tolist() == expected
+        assert count == oracle_searches == 1
 
     @pytest.mark.parametrize(
         "xs,centroids,expected,searches",
