@@ -4,9 +4,9 @@ The round's clients are split into ``L`` equal-size clusters of similar
 distributions (alternating exact balanced assignment / centroid update, with
 the assignment step solved by successive shortest paths over the L clusters;
 each Bellman-Ford search moves units along all of its vertex-disjoint tree
-paths: a one-edge path a run of its tail's cheapest members, one rule for
-every search, and every other edge the lowest-id cheapest member of its
-tail, all looked up before any member moves), then
+paths: along a one-edge path a run of its tail's cheapest members, along
+each edge of a longer path the lowest-id cheapest member of its tail, all
+looked up before any of them moves), then
 each group draws one client from every cluster, so all groups end up with
 near-identical overall class mixes. ``L`` is both the cluster
 count and the group size: with ``M`` groups requested over ``K`` clients,
@@ -414,6 +414,7 @@ def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
                 units = min(excess[source], -excess[target])
                 limit = swap[source, target]
                 if units > 1 and len(paths) == 1 and roots == 1:
+                    # one root: run on as far as the next searches would
                     limit = _run_limit(dist, swap, excess, source, target)
                 members = np.flatnonzero(assignment == source)  # ids ascending
                 extra = scaled[members, target] - scaled[members, source]

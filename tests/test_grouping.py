@@ -121,9 +121,9 @@ def move_tables(scaled, assignment, clusters, swap, mover, ties):
     """Refresh rows ``clusters`` (sorted) of three move tables in place.
 
     ``swap[a, b]`` is the least extra cost of moving a member of ``a`` to
-    ``b``, ``mover[a, b]`` the lowest client id attaining
-    it and ``ties[a, b]`` how many members attain it. Rows of empty clusters
-    keep the caller's fill of ``UNREACHED``, -1 and 0.
+    ``b``, ``mover[a, b]`` the lowest client id attaining it and
+    ``ties[a, b]`` how many members attain it. Rows of empty clusters keep
+    the caller's fill of ``UNREACHED``, -1 and 0.
     """
     num_points, num_clusters = scaled.shape
     chosen = np.zeros(num_clusters, dtype=bool)
