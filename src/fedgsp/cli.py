@@ -33,7 +33,6 @@ from .orchestrator import (
     _build_plan,
     growth_eval,
     preflight,
-    record_row,
     run_rounds,
 )
 
@@ -168,7 +167,7 @@ def _execute_run(
         if grouping_dump is not None:
             grouping_dump.close()
 
-    _write_csv(csv_path, CSV_COLUMNS, map(record_row, state.records))
+    _write_csv(csv_path, CSV_COLUMNS, state.records)
     summary = _summary(
         [(r.round_index, r.accuracy, r.loss) for r in state.records], resolved.target_accuracy
     )

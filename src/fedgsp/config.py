@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigurationError
 from .metrics import CostModelParams
-from .orchestrator import ExperimentConfig, GrowthFunction, validate_kappa
+from .orchestrator import ExperimentConfig, GrowthFunction, experiment_costs, validate_kappa
 from .rng import stream_id
 from .datagen import SyntheticTaskSpec
 from .trainer import ModelSpec, SgdConfig
@@ -137,66 +137,45 @@ def resolve(settings: dict[str, str], overrides: dict[str, str] | None = None) -
     if unknown:
         raise ConfigurationError(f"unknown config key(s): {', '.join(unknown)}")
 
+    # Coerced values by full key, and by section: "task.skew" is
+    # sections["task"]["skew"], a top-level "seed" is sections[""]["seed"].
     values: dict[str, object] = {}
+    sections: dict[str, dict[str, object]] = {}
     for key, (kind, default) in _SCHEMA.items():
         if key in merged:
-            values[key] = _coerce(key, kind, merged[key])
+            value = _coerce(key, kind, merged[key])
         elif default is _REQUIRED:
             raise ConfigurationError(f"missing required config key: {key}")
         else:
-            values[key] = default
+            value = default
+        values[key] = value
+        section, _, name = key.rpartition(".")
+        sections.setdefault(section, {})[name] = value
 
-    seed = int(values["seed"])
-    task = SyntheticTaskSpec(
-        num_classes=values["task.num_classes"],
-        num_clients=values["task.num_clients"],
-        samples_per_client=values["task.samples_per_client"],
-        feature_dim=values["task.feature_dim"],
-        skew=values["task.skew"],
-        concentration=values["task.concentration"],
-        shards_per_client=values["task.shards_per_client"],
-        seed=stream_id(seed, "task"),
-    )
+    top = sections[""]
+    seed = top["seed"]
+    # A section's keys are its dataclass's fields; the seeds are derived.
+    task = SyntheticTaskSpec(**sections["task"], seed=stream_id(seed, "task"))
     model = ModelSpec(
-        kind=values["model.kind"],
-        feature_dim=values["task.feature_dim"],
-        num_classes=values["task.num_classes"],
-        hidden_units=values["model.hidden_units"],
+        **sections["model"],
+        feature_dim=task.feature_dim,
+        num_classes=task.num_classes,
         init_seed=stream_id(seed, "model-init"),
     )
-    sgd = SgdConfig(
-        learning_rate=values["sgd.learning_rate"],
-        batch_size=values["sgd.batch_size"],
-        local_epochs=values["sgd.local_epochs"],
-    )
-    growth = GrowthFunction(
-        kind=values["growth.kind"],
-        alpha=values["growth.alpha"],
-        beta=values["growth.beta"],
-    )
+    sgd = SgdConfig(**sections["sgd"])
+    growth = GrowthFunction(**sections["growth"])
     # Before the cost model, which would name kappa by its own field name.
-    validate_kappa(values["kappa"])
-    cost = CostModelParams(
-        samples_per_client=task.samples_per_client,
-        num_clients=task.num_clients,
-        local_epochs=sgd.local_epochs,
-        sampling_rate=values["kappa"],
-        calc_flops_per_sample=values["cost.calc_flops_per_sample"],
-        aggregation_flops=values["cost.aggregation_flops"],
-        device_flops_per_second=values["cost.device_flops_per_second"],
-        model_size_megabytes=values["cost.model_size_megabytes"],
-        inbound_megabits_per_second=values["cost.inbound_megabits_per_second"],
-        outbound_megabits_per_second=values["cost.outbound_megabits_per_second"],
-    )
+    validate_kappa(top["kappa"])
+    cost = CostModelParams(**sections["cost"], **experiment_costs(task, sgd, top["kappa"]))
     experiment = ExperimentConfig(
-        algorithm=values["algorithm"],
+        algorithm=top["algorithm"],
         task=task,
         model=model,
         sgd=sgd,
         growth=growth,
-        kappa=values["kappa"],
-        rounds=values["rounds"],
-        fixed_group_count=values["fixed_group_count"] or None,
+        kappa=top["kappa"],
+        rounds=top["rounds"],
+        fixed_group_count=top["fixed_group_count"] or None,
         run_seed=stream_id(seed, "run"),
         cost=cost,
     )
@@ -205,7 +184,7 @@ def resolve(settings: dict[str, str], overrides: dict[str, str] | None = None) -
     content_hash = hashlib.sha256(canonical_serialization(snapshot).encode()).hexdigest()
     return ResolvedRun(
         experiment=experiment,
-        target_accuracy=values["target_accuracy"],
+        target_accuracy=top["target_accuracy"],
         snapshot=snapshot,
         content_hash=content_hash,
         seed=seed,

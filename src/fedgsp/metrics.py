@@ -19,7 +19,7 @@ estimates by construction, not measurements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -57,22 +57,10 @@ class CostModelParams:
     outbound_megabits_per_second: float = 567.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "samples_per_client",
-            "num_clients",
-            "local_epochs",
-            "sampling_rate",
-            "calc_flops_per_sample",
-            "aggregation_flops",
-            "device_flops_per_second",
-            "model_size_megabytes",
-            "inbound_megabits_per_second",
-            "outbound_megabits_per_second",
-        ):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(
-                    f"{name} must be strictly positive, got {getattr(self, name)}"
-                )
+        for constant in fields(self):
+            value = getattr(self, constant.name)
+            if not value > 0:
+                raise ConfigurationError(f"{constant.name} must be strictly positive, got {value}")
         # One round's costs, at the extremes of M: t_comp's training term
         # peaks at M = 1, its aggregation term at M = K.
         costs = [

@@ -23,11 +23,11 @@ import dataclasses
 import hashlib
 import json
 import math
-import operator
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -113,6 +113,16 @@ def validate_kappa(kappa: float) -> None:
         raise ConfigurationError(f"kappa must be in (0, 1], got {kappa}")
 
 
+def experiment_costs(task: SyntheticTaskSpec, sgd: SgdConfig, kappa: float) -> dict:
+    """The ``CostModelParams`` fields an experiment fixes, by field name."""
+    return {
+        "samples_per_client": task.samples_per_client,
+        "num_clients": task.num_clients,
+        "local_epochs": sgd.local_epochs,
+        "sampling_rate": kappa,
+    }
+
+
 @dataclass
 class ExperimentConfig:
     """A full training run: task, model, optimizer, schedule, sampling, seed."""
@@ -145,12 +155,7 @@ class ExperimentConfig:
             raise ConfigurationError("model feature_dim disagrees with the task")
         if self.model.num_classes != self.task.num_classes:
             raise ConfigurationError("model num_classes disagrees with the task")
-        costed = {
-            "samples_per_client": self.task.samples_per_client,
-            "num_clients": self.task.num_clients,
-            "local_epochs": self.sgd.local_epochs,
-            "sampling_rate": self.kappa,
-        }
+        costed = experiment_costs(self.task, self.sgd, self.kappa)
         if self.cost is None:
             self.cost = CostModelParams(**costed)
         for name, value in costed.items():
@@ -181,9 +186,8 @@ class ExperimentConfig:
             )
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One row of the per-round metrics stream."""
+class RoundRecord(NamedTuple):
+    """One round's metrics: a ``rounds.csv`` row and a checkpoint ``records`` row."""
 
     round_index: int
     group_count: int
@@ -196,9 +200,8 @@ class RoundRecord:
     d_comm_cum_mb: float
 
 
-# A record's field values in field order: ``dataclasses.astuple`` without its
-# deep copy of every field.
-record_row = operator.attrgetter(*(f.name for f in dataclasses.fields(RoundRecord)))
+# Each column's type, in column order; a checkpoint row must match it exactly.
+_COLUMN_TYPES = tuple(get_type_hints(RoundRecord).items())
 
 
 @dataclass
@@ -332,7 +335,7 @@ def save_checkpoint(state: ExperimentState, path: str) -> None:
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": config_fingerprint(state.config),
         "values": state.params.values.tolist(),
-        "records": [record_row(record) for record in state.records],
+        "records": state.records,
     }
     text = json.dumps(payload)
     temporary = f"{path}.tmp"
@@ -345,14 +348,36 @@ def save_checkpoint(state: ExperimentState, path: str) -> None:
             os.remove(temporary)
 
 
+def _record(round_index: int, row) -> RoundRecord:
+    """A checkpoint row as a record; each value must have its column's exact type."""
+    if not isinstance(row, list) or len(row) != len(_COLUMN_TYPES):
+        raise ValueError(
+            f"checkpoint round {round_index}: expected {len(_COLUMN_TYPES)} values, got {row!r}"
+        )
+    for (name, kind), value in zip(_COLUMN_TYPES, row):
+        if type(value) is not kind:  # JSON 1.0 and true are not an int column's 1
+            raise ValueError(
+                f"checkpoint round {round_index}: {name} must be {kind.__name__}, got {value!r}"
+            )
+    return RoundRecord(*row)
+
+
 def load_checkpoint(path: str) -> tuple[list[RoundRecord], str, np.ndarray]:
-    """Read a checkpoint; returns (records, config fingerprint, parameter values)."""
+    """Read a checkpoint; returns (records, config fingerprint, parameter values).
+
+    Raises ``ValueError`` for a payload that is not a JSON object, another
+    format version, or a record row whose length or value types differ from
+    ``RoundRecord``'s.
+    """
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ValueError(f"checkpoint is not a JSON object: {type(payload).__name__}")
     if payload.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format: {payload.get('format_version')}")
     values = np.array(payload["values"], dtype=np.float64)
-    return [RoundRecord(*row) for row in payload["records"]], payload["config"], values
+    records = [_record(i, row) for i, row in enumerate(payload["records"], start=1)]
+    return records, payload["config"], values
 
 
 def preflight(

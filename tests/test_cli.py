@@ -394,7 +394,9 @@ class TestCmdRun:
         assert not (out / "smoke" / "manifest.json").exists()
 
     @pytest.mark.parametrize(
-        "contents", [None, '{"format_version": 1}'], ids=["missing", "no-params"]
+        "contents",
+        [None, '{"format_version": 1}', "[]", "null"],
+        ids=["missing", "no-params", "list", "null"],
     )
     def test_unloadable_checkpoint_is_config_error(
         self, tmp_path, config_path, capsys, contents

@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from fedgsp.cli import main
+from fedgsp.config import load_config_file, resolve
+from fedgsp.orchestrator import config_fingerprint
 
 CONFIG = Path(__file__).resolve().parent.parent / "demos" / "experiment.cfg"
 
@@ -85,6 +87,22 @@ GOLDEN_SGD = {
 }
 
 
+# Manifest identity (``ResolvedRun.content_hash``) and checkpoint
+# compatibility (``config_fingerprint``) of the demo config and of the
+# shard-skew run above.
+GOLDEN_IDENTITY = {
+    "desk": (
+        {},
+        "02d40ab49f5d97fcc661ab471ebae8a46dd1c5ba755ac282482e8849ace08ca9",
+        "d4bad6d27f7aa221db64aef0e1f4125d0eb495b3fdbbb33c36352f33b2af3cfc",
+    ),
+    "shards-k120": (
+        {**SHARDS_K120, "rounds": "3"},
+        "f0e84f3aa8eda3a70fb6806b3629a3ef48409d44903956d39a63cf402cacb531",
+        "f430dbe4ac7351a96dcf4ef8bd5804aec1db95482e053dd86c495a2e5c78ef25",
+    ),
+}
+
 def _digests(run_dir: Path, names) -> dict[str, str]:
     return {
         name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in names
@@ -129,3 +147,11 @@ def test_sgd_schedule_bytes_pinned(name, tmp_path):
         argv += ["--set", f"{key}={value}"]
     assert main(argv) == 0
     assert _digests(tmp_path / name, ["rounds.csv"]) == {"rounds.csv": digest}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_IDENTITY))
+def test_config_identity_pinned(name):
+    overrides, content_hash, fingerprint = GOLDEN_IDENTITY[name]
+    resolved = resolve(load_config_file(str(CONFIG)), overrides)
+    assert resolved.content_hash == content_hash
+    assert config_fingerprint(resolved.experiment) == fingerprint

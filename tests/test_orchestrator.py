@@ -2,8 +2,8 @@ import functools
 import io
 import json
 import math
+import re
 import tempfile
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +76,7 @@ def checkpoint_state():
 
 
 def record_bytes(records):
-    return np.array([astuple(r) for r in records], dtype=np.float64).tobytes()
+    return np.array([tuple(r) for r in records], dtype=np.float64).tobytes()
 
 
 class TestGrowthEval:
@@ -405,6 +405,42 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match="not rounds 1..k in order"):
             run_experiment(make_config(rounds=4), resume_from=str(checkpoint))
 
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (0, 2.0, "round_index must be int, got 2.0"),
+            (1, 4.0, "group_count must be int, got 4.0"),
+            (2, True, "sampled_groups must be int, got True"),
+            (3, 1, "accuracy must be float, got 1"),
+            (8, None, "d_comm_cum_mb must be float, got None"),
+        ],
+        ids=["round-float", "M-float", "sampled-bool", "accuracy-int", "d_comm-null"],
+    )
+    def test_resume_rejects_mistyped_record_values(self, tmp_path, column, value, message):
+        # JSON 2.0 == 2 and true == 1 pass the order check; resuming on them
+        # would write "2.0" where a straight run writes "2".
+        checkpoint = tmp_path / "ck.json"
+        run_experiment(
+            make_config(rounds=2), checkpoint_path=str(checkpoint), checkpoint_every=2
+        )
+        payload = json.loads(checkpoint.read_text())
+        payload["records"][1][column] = value
+        checkpoint.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match=re.escape(f"round 2: {message}")):
+            run_experiment(make_config(rounds=4), resume_from=str(checkpoint))
+
+    @pytest.mark.parametrize("cut", [slice(0, 8), slice(0, 0)], ids=["eight", "empty"])
+    def test_resume_rejects_record_rows_of_another_length(self, tmp_path, cut):
+        checkpoint = tmp_path / "ck.json"
+        run_experiment(
+            make_config(rounds=1), checkpoint_path=str(checkpoint), checkpoint_every=1
+        )
+        payload = json.loads(checkpoint.read_text())
+        payload["records"][0] = payload["records"][0][cut]
+        checkpoint.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match="round 1: expected 9 values"):
+            run_experiment(make_config(rounds=2), resume_from=str(checkpoint))
+
     def test_t_comp_running_sum_matches_full_recount(self):
         # Bitwise: the per-round running sum adds in the same order as t_comp
         # over every round so far. Resume seeding is covered by the
@@ -458,7 +494,7 @@ class TestRunExperiment:
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "config": config_fingerprint(state.config),
             "values": values,
-            "records": [astuple(record) for record in state.records],
+            "records": [tuple(record) for record in state.records],
         }
         streamed = io.StringIO()
         json.dump(payload, streamed)
