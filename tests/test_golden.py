@@ -103,6 +103,7 @@ GOLDEN_IDENTITY = {
     ),
 }
 
+
 def _digests(run_dir: Path, names) -> dict[str, str]:
     return {
         name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in names
