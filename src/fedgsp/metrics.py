@@ -61,18 +61,11 @@ class CostModelParams:
             value = getattr(self, constant.name)
             if not value > 0:
                 raise ConfigurationError(f"{constant.name} must be strictly positive, got {value}")
-        # One round's costs, at the extremes of M: t_comp's training term
-        # peaks at M = 1, its aggregation term at M = K.
-        costs = [
-            t_comp([1], self),
-            t_comp([self.num_clients], self),
-            t_comm(1, self),
-            d_comm(1, self),
-        ]
+        costs = cost_bounds(self, 1)
         if not all(map(math.isfinite, costs)):
             raise ConfigurationError(
                 "cost constants give a non-finite one-round cost "
-                f"(t_comp at M = 1 and M = K, t_comm, d_comm): {costs}"
+                f"(t_comp bound, t_comm, d_comm): {costs}"
             )
 
 
@@ -132,8 +125,10 @@ def median_pairwise_cpd(distributions) -> float:
     if len(distributions) < 2:
         raise ValueError("need at least 2 distributions")
     # Median of the raw distances first: scaling each pair before averaging
-    # the middle two (even pair counts) can change the last bit.
-    return _KERNEL_SCALE * float(np.median(_pair_squared_distances(distributions)))
+    # the middle two (even pair counts) can change the last bit. The distances
+    # are a fresh array, so np.median may partition it in place.
+    squared = _pair_squared_distances(distributions)
+    return _KERNEL_SCALE * float(np.median(squared, overwrite_input=True))
 
 
 def t_comp(group_counts: Sequence[int], params: CostModelParams) -> float:
@@ -174,3 +169,21 @@ def d_comm(rounds: int, params: CostModelParams) -> float:
     """Cumulative cross-WAN traffic (megabytes) over ``rounds`` rounds."""
     p = params
     return 2.0 * p.sampling_rate * p.num_clients * p.model_size_megabytes * rounds
+
+
+def cost_bounds(params: CostModelParams, rounds: int) -> list[float]:
+    """Upper bounds of the cumulative cost columns after ``rounds`` rounds.
+
+    Returns ``[t_comp bound, t_comm, d_comm]``, or ``[inf]`` when ``rounds``
+    is beyond float range. t_comm and d_comm are linear in rounds; one round's
+    t_comp = a/M + b*M peaks at M = 1 or M = K, so rounds times the larger of
+    the two bounds its sum.
+    """
+    try:
+        return [
+            rounds * max(t_comp([1], params), t_comp([params.num_clients], params)),
+            t_comm(rounds, params),
+            d_comm(rounds, params),
+        ]
+    except OverflowError:
+        return [math.inf]

@@ -164,21 +164,7 @@ class ExperimentConfig:
                     f"cost {name} ({getattr(self.cost, name)}) disagrees with the "
                     f"experiment ({value})"
                 )
-        # The cumulative cost columns at the last round. t_comm and d_comm are
-        # linear in rounds; one round's t_comp = a/M + b*M peaks at M = 1 or
-        # M = K, so rounds times the larger of the two bounds its sum.
-        try:
-            totals = [
-                self.rounds
-                * max(
-                    metrics.t_comp([1], self.cost),
-                    metrics.t_comp([self.task.num_clients], self.cost),
-                ),
-                metrics.t_comm(self.rounds, self.cost),
-                metrics.d_comm(self.rounds, self.cost),
-            ]
-        except OverflowError:  # rounds beyond float range
-            totals = [math.inf]
+        totals = metrics.cost_bounds(self.cost, self.rounds)
         if not all(map(math.isfinite, totals)):
             raise ConfigurationError(
                 f"cost constants overflow the cumulative costs over {self.rounds} rounds "
@@ -267,12 +253,43 @@ def _sample_size(kappa: float, group_count: int) -> int:
     return max(1, math.floor(kappa * group_count + 0.5))
 
 
+def round_record(
+    config: ExperimentConfig,
+    round_index: int,
+    t_comp_before: float,
+    accuracy: float,
+    loss: float,
+    median_cpd: float,
+) -> RoundRecord:
+    """Round ``round_index``'s record: the measured values plus the columns the config fixes.
+
+    ``t_comp_before`` is the previous round's ``t_comp_cum_s`` (0.0 before
+    round 1); this round's cost is added to it.
+    """
+    group_count = group_count_for_round(config, round_index)
+    return RoundRecord(
+        round_index=round_index,
+        group_count=group_count,
+        sampled_groups=_sample_size(config.kappa, group_count),
+        accuracy=accuracy,
+        loss=loss,
+        median_group_cpd=median_cpd,
+        t_comp_cum_s=t_comp_before + metrics.t_comp([group_count], config.cost),
+        t_comm_cum_s=metrics.t_comm(round_index, config.cost),
+        d_comm_cum_mb=metrics.d_comm(round_index, config.cost),
+    )
+
+
 def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
     """Execute round ``round_index``, advance the state, and return its record.
 
-    Rounds run in order: the record's ``t_comp_cum_s`` adds this round's cost
-    to the last record's.
+    Rounds run in order: ``round_index`` must be one past the last record, and
+    the record's ``t_comp_cum_s`` adds this round's cost to the last record's.
     """
+    if round_index != len(state.records) + 1:
+        raise ValueError(
+            f"round {round_index} does not follow the {len(state.records)} completed rounds"
+        )
     config = state.config
     plan = _build_plan(state, round_index)
     sample_count = _sample_size(config.kappa, plan.group_count)
@@ -299,17 +316,7 @@ def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
         median_cpd = metrics.median_pairwise_cpd(group_distributions(plan, state.counts))
 
     t_comp_before = state.records[-1].t_comp_cum_s if state.records else 0.0
-    record = RoundRecord(
-        round_index=round_index,
-        group_count=plan.group_count,
-        sampled_groups=sample_count,
-        accuracy=accuracy,
-        loss=loss,
-        median_group_cpd=median_cpd,
-        t_comp_cum_s=t_comp_before + metrics.t_comp([plan.group_count], config.cost),
-        t_comm_cum_s=metrics.t_comm(round_index, config.cost),
-        d_comm_cum_mb=metrics.d_comm(round_index, config.cost),
-    )
+    record = round_record(config, round_index, t_comp_before, accuracy, loss, median_cpd)
     state.records.append(record)
     state.last_plan = plan
     return record
@@ -380,6 +387,32 @@ def load_checkpoint(path: str) -> tuple[list[RoundRecord], str, np.ndarray]:
     return records, payload["config"], values
 
 
+def _check_restored_records(config: ExperimentConfig, records: list[RoundRecord]) -> None:
+    """Reject restored rows the config would not have written.
+
+    Each row must match :func:`round_record` rebuilt from its own measured
+    values and the running ``t_comp_cum_s``, and those measured values must
+    be finite. ``median_group_cpd``'s value is not recomputed: that would
+    rebuild every restored round's plan.
+    """
+    t_comp_cum = 0.0
+    for record in records:
+        measured = (record.accuracy, record.loss, record.median_group_cpd)
+        for name, value in zip(("accuracy", "loss", "median_group_cpd"), measured):
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"checkpoint round {record.round_index}: {name} is not finite: {value!r}"
+                )
+        rebuilt = round_record(config, record.round_index, t_comp_cum, *measured)
+        for name, stored, expected in zip(RoundRecord._fields, record, rebuilt):
+            if stored != expected:
+                raise ConfigurationError(
+                    f"checkpoint round {record.round_index}: {name} is {stored!r}, "
+                    f"but the config gives {expected!r}"
+                )
+        t_comp_cum = rebuilt.t_comp_cum_s
+
+
 def preflight(
     config: ExperimentConfig,
     resume_from: str | None = None,
@@ -392,8 +425,8 @@ def preflight(
     once and its records and parameters are restored into the state.
     Raises ``ConfigurationError`` for a bad checkpoint interval, a checkpoint
     that cannot be read, one written under a config that differs in anything
-    but ``rounds``, one whose records are not rounds 1..k in order, or one
-    past ``config.rounds``.
+    but ``rounds``, one whose records are not rounds 1..k in order or hold
+    values the config would not have written, or one past ``config.rounds``.
     """
     if checkpoint_every is not None:
         if checkpoint_every < 1:
@@ -418,6 +451,7 @@ def preflight(
         ) from None
     if [record.round_index for record in records] != list(range(1, len(records) + 1)):
         raise ConfigurationError("checkpoint records are not rounds 1..k in order")
+    _check_restored_records(config, records)
     if len(records) > config.rounds:
         raise ConfigurationError(f"checkpoint has {len(records)} rounds; rounds = {config.rounds}")
     state = new_experiment_state(config)

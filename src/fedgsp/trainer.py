@@ -134,8 +134,8 @@ def _split(values: np.ndarray, layout) -> dict[str, np.ndarray]:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def _forward(layers: dict[str, np.ndarray], features: np.ndarray):
@@ -236,10 +236,11 @@ def train_chains(
     and step t of every chain runs as one stacked update. Row g of the result
     equals the parameter vector of chain g trained alone, bit for bit.
 
-    Each step repeats :func:`loss_and_gradient` op for op on basic slices of
-    the epoch's gathered batches, except that it subtracts a float64 one-hot
-    in place of indexing the label entries (``x - 0.0 == x``), and that it
-    computes no loss unless its one-reduction screen is non-finite.
+    Each step runs :func:`loss_and_gradient`'s ``_forward`` and
+    ``_log_softmax`` on basic slices of the epoch's gathered batches and
+    repeats its backward pass op for op, except that it subtracts a float64
+    one-hot in place of indexing the label entries (``x - 0.0 == x``), and
+    that it computes no loss unless its one-reduction screen is non-finite.
 
     Raises:
         TrainingDivergedError: On a non-finite loss, gradient or parameter,
@@ -255,10 +256,7 @@ def train_chains(
     # Views into values and grads: they follow the in-place updates.
     layers = _split(values, params.layout)
     grad_layers = _split(grads, params.layout)
-    transposed = {name: _transposed(view) for name, view in layers.items() if name[0] == "w"}
-    biases = {name: view[..., None, :] for name, view in layers.items() if name[0] == "b"}
-    mlp = "w1" in layers
-    classes = np.arange(layers["b2" if mlp else "b"].shape[-1])
+    classes = np.arange(params.layout[-1][1][0])  # the output bias's length
 
     def diverged(finite: np.ndarray, position: int, where: str) -> TrainingDivergedError:
         chain = int(np.argmin(finite))
@@ -284,20 +282,13 @@ def train_chains(
                 x = xs[:, batch_slice]
                 onehot = onehots[:, batch_slice]
                 batch = x.shape[1]
-                if mlp:
-                    hidden = np.tanh(x @ transposed["w1"] + biases["b1"])
-                    logits = hidden @ transposed["w2"] + biases["b2"]
-                else:
-                    logits = x @ transposed["w"] + biases["b"]
-                shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-                log_probs = shifted - np.log(
-                    np.add.reduce(np.exp(shifted), axis=-1, keepdims=True)
-                )
+                logits, hidden = _forward(layers, x)
+                log_probs = _log_softmax(logits)
 
                 delta = np.exp(log_probs)
                 delta -= onehot
                 delta /= batch
-                if mlp:
+                if hidden is not None:
                     upstream = (delta @ layers["w2"]) * (1.0 - hidden * hidden)
                     np.matmul(_transposed(upstream), x, out=grad_layers["w1"])
                     np.add.reduce(upstream, axis=1, out=grad_layers["b1"])

@@ -438,6 +438,22 @@ class TestCmdRun:
         assert "only rounds may change on resume" in capsys.readouterr().err
         assert {name: (run_dir / name).read_bytes() for name in before} == before
 
+    def test_resume_with_edited_record_leaves_no_run_directory(
+        self, tmp_path, config_path, capsys
+    ):
+        run = ["run", "--config", str(config_path)]
+        part = tmp_path / "part"
+        assert main(run + ["--out", str(part), "--checkpoint-every", "2"]) == 0
+        checkpoint = part / "smoke" / "checkpoint.json"
+        payload = json.loads(checkpoint.read_text())
+        payload["records"][1][1] = 999
+        checkpoint.write_text(json.dumps(payload))
+        resumed = tmp_path / "resumed"
+        resume = ["--out", str(resumed), "--set", "rounds=4", "--resume", str(checkpoint)]
+        assert main(run + resume) == 1
+        assert "checkpoint round 2: group_count is 999" in capsys.readouterr().err
+        assert not resumed.exists()
+
     def test_resume_with_other_rounds_and_target_accuracy(self, tmp_path, config_path):
         out = tmp_path / "out"
         run = ["run", "--config", str(config_path), "--out", str(out)]

@@ -212,6 +212,18 @@ class TestRunRound:
         assert record.loss > 0.0
         assert state.records == [record]
 
+    def test_rounds_run_in_order(self):
+        # Round 3 first would price t_comp for one round and t_comm for three.
+        state = new_experiment_state(make_config(rounds=4))
+        params = state.params
+        with pytest.raises(ValueError, match="round 3 does not follow the 0 completed rounds"):
+            run_round(state, 3)
+        assert state.records == [] and state.params is params
+        run_round(state, 1)
+        with pytest.raises(ValueError, match="round 1 does not follow the 1 completed rounds"):
+            run_round(state, 1)
+        assert [record.round_index for record in state.records] == [1]
+
     def test_sample_floor_is_one_group(self):
         config = make_config(kappa=0.05)
         state = new_experiment_state(config)
@@ -440,6 +452,31 @@ class TestRunExperiment:
         checkpoint.write_text(json.dumps(payload))
         with pytest.raises(ConfigurationError, match="round 1: expected 9 values"):
             run_experiment(make_config(rounds=2), resume_from=str(checkpoint))
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            (1, 999, "group_count is 999, but the config gives"),
+            (6, 123.0, "t_comp_cum_s is 123.0, but the config gives"),
+            (3, math.nan, "accuracy is not finite: nan"),
+        ],
+        ids=["M", "t_comp", "accuracy-nan"],
+    )
+    def test_resume_rejects_record_values_the_config_would_not_write(
+        self, tmp_path, column, value, message
+    ):
+        # Each edit passes the type and order checks. Resuming on it would
+        # write the edited cell, and an edited t_comp_cum_s would carry into
+        # every later round's running sum.
+        checkpoint = tmp_path / "ck.json"
+        run_experiment(
+            make_config(rounds=2), checkpoint_path=str(checkpoint), checkpoint_every=2
+        )
+        payload = json.loads(checkpoint.read_text())
+        payload["records"][1][column] = value
+        checkpoint.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match=re.escape(f"round 2: {message}")):
+            run_experiment(make_config(rounds=4), resume_from=str(checkpoint))
 
     def test_t_comp_running_sum_matches_full_recount(self):
         # Bitwise: the per-round running sum adds in the same order as t_comp
