@@ -79,7 +79,7 @@ class GroupingPlan:
             raise ValueError(f"groups must be a non-empty (M, L) array, got {groups.shape}")
         if groups.min() < 0 or groups.max() >= self.num_clients:
             raise ValueError(f"client ids must be in [0, {self.num_clients})")
-        if len(np.unique(groups)) != groups.size:
+        if np.bincount(groups.ravel(), minlength=self.num_clients).max() > 1:
             raise ValueError("a client appears in more than one group")
         groups.flags.writeable = False
         object.__setattr__(self, "groups", groups.view())  # a view cannot be made writeable
@@ -90,7 +90,9 @@ class GroupingPlan:
 
     @property
     def unassigned(self) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.num_clients), self.groups)
+        sitting_out = np.ones(self.num_clients, dtype=bool)
+        sitting_out[self.groups] = False
+        return np.flatnonzero(sitting_out)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -435,8 +437,10 @@ def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
             owner = assignment[members]
             head = head_of[owner]
             hits = members[scaled[members, head] - scaled[members, owner] == swap[owner, head]]
-            owner, first = np.unique(assignment[hits], return_index=True)  # lowest id each
-            assignment[hits[first]] = head_of[owner]  # all found before any moves
+            lowest = np.full(num_clusters, num_points)
+            np.minimum.at(lowest, assignment[hits], hits)  # lowest hit id of each tail
+            moved = lowest[lowest < num_points]
+            assignment[moved] = head_of[assignment[moved]]  # all found before any moves
         touched = np.array(sorted(node for path in paths for node in path))
     return assignment
 

@@ -8,7 +8,9 @@ the full kernel double sum collapses to
     (1 - exp(-1)) * ||P - Q||_2**2
 
 which is what this module evaluates; the tests check it against the explicit
-double sum.
+double sum. The median over pairs is an exact selection (an in-place
+partition of the fresh distance array) with ``np.median``'s bits, so a round
+never pays numpy's lazy ``numpy.ma`` import that ``np.median`` triggers.
 
 The cost models are analytic: per-round computation time from per-sample and
 aggregation FLOP counts against a device throughput, plus communication time
@@ -126,9 +128,18 @@ def median_pairwise_cpd(distributions) -> float:
         raise ValueError("need at least 2 distributions")
     # Median of the raw distances first: scaling each pair before averaging
     # the middle two (even pair counts) can change the last bit. The distances
-    # are a fresh array, so np.median may partition it in place.
+    # are a fresh array, so it is partitioned in place around the middle
+    # rank(s) and the last position, as np.median does: the middle element of
+    # an odd count, (low + high) / 2.0 of an even count's middle two, and the
+    # last element if it is NaN (NaN sorts last). These are np.median's bits.
     squared = _pair_squared_distances(distributions)
-    return _KERNEL_SCALE * float(np.median(squared, overwrite_input=True))
+    half, odd = divmod(len(squared), 2)
+    middle = [half] if odd else [half - 1, half]
+    squared.partition(middle + [-1])
+    median = squared[half] if odd else (squared[half - 1] + squared[half]) / 2.0
+    if np.isnan(squared[-1]):
+        median = squared[-1]
+    return _KERNEL_SCALE * float(median)
 
 
 def t_comp(group_counts: Sequence[int], params: CostModelParams) -> float:

@@ -19,6 +19,7 @@ import hashlib
 import math
 
 import numpy as np
+from numpy.random import PCG64, Generator  # numpy >= 2 would load it on first use
 
 _MASK64 = (1 << 64) - 1
 
@@ -42,12 +43,12 @@ def stream_id(seed: int, purpose: str, *ids: int) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-def generator(seed: int, purpose: str, *ids: int) -> np.random.Generator:
+def generator(seed: int, purpose: str, *ids: int) -> Generator:
     """Return a fresh PCG64 generator positioned at the named sub-stream."""
-    return np.random.Generator(np.random.PCG64(stream_id(seed, purpose, *ids)))
+    return Generator(PCG64(stream_id(seed, purpose, *ids)))
 
 
-def gamma_variate(rng: np.random.Generator, shape: float) -> float:
+def gamma_variate(rng: Generator, shape: float) -> float:
     """Draw one Gamma(shape, 1) variate via Marsaglia-Tsang.
 
     For shape < 1 the usual boost is applied: draw Gamma(shape + 1) and
@@ -75,7 +76,7 @@ def gamma_variate(rng: np.random.Generator, shape: float) -> float:
 
 
 def dirichlet_proportions(
-    rng: np.random.Generator, concentration: float, size: int
+    rng: Generator, concentration: float, size: int
 ) -> np.ndarray:
     """Draw one symmetric Dirichlet(concentration) vector of the given size."""
     if size < 1:

@@ -873,6 +873,27 @@ class TestPlanSerialization:
         with pytest.raises(ValueError):
             GroupingPlan(round_index=1, groups=((0, 1), (1, 2)), num_clients=3)
 
+    @pytest.mark.parametrize(
+        "groups", [((0, 0), (1, 2)), ((0, 1), (1, 2))], ids=["within-group", "across-groups"]
+    )
+    def test_repeated_id_message(self, groups):
+        with pytest.raises(ValueError, match="^a client appears in more than one group$"):
+            GroupingPlan(round_index=1, groups=groups, num_clients=4)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_unassigned_matches_setdiff1d(self, data):
+        # Zero extra clients gives a plan with no one sitting out.
+        group_count = data.draw(st.integers(1, 8), label="M")
+        size = data.draw(st.integers(1, 6), label="L")
+        num_clients = group_count * size + data.draw(st.integers(0, 5), label="extra")
+        ids = data.draw(st.permutations(range(num_clients)), label="ids")
+        groups = np.array(ids[: group_count * size]).reshape(group_count, size)
+        expected = np.setdiff1d(np.arange(num_clients), groups)
+        unassigned = GroupingPlan(1, groups, num_clients).unassigned
+        assert unassigned.dtype == expected.dtype
+        assert unassigned.tolist() == expected.tolist()
+
 
 def plans_from_every_builder(num_clients, group_count, seed):
     """(plan, expected group count) from ICG, random and singleton grouping."""

@@ -4,12 +4,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedgsp import metrics
 from fedgsp.metrics import (
+    _KERNEL_SCALE,
     CPD_BLOCK_ELEMENTS,
+    _pair_squared_distances,
     CostModelParams,
     cpd,
     d_comm,
@@ -104,6 +106,34 @@ class TestMedianPairwise:
     def test_requires_two(self):
         with pytest.raises(ValueError):
             median_pairwise_cpd([[1, 2]])
+
+    @given(
+        groups=st.integers(2, 40),
+        classes=st.integers(1, 6),
+        high=st.sampled_from([1, 2, 3, 1000]),
+        identical=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(groups=2, classes=3, high=5, identical=False, seed=0)  # one pair
+    @example(groups=4, classes=2, high=1, identical=False, seed=1)  # six pairs, many ties
+    @example(groups=5, classes=4, high=9, identical=True, seed=2)  # every distance 0
+    @settings(max_examples=200, deadline=None)
+    def test_selection_has_np_median_bits(self, groups, classes, high, identical, seed):
+        # np.median is the oracle. Low ``high`` gives tie-heavy small-integer
+        # rows; G rows give G(G-1)/2 pairs, odd or even.
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, high + 1, size=(1 if identical else groups, classes))
+        rows[:, 0] += 1  # keep every total positive
+        rows = np.repeat(rows, groups, axis=0) if identical else rows
+        expected = _KERNEL_SCALE * float(np.median(_pair_squared_distances(rows)))
+        assert median_pairwise_cpd(rows).hex() == expected.hex()
+
+    def test_nan_distance_gives_np_median_nan(self):
+        # Ten pairs, four NaN: the middle two ranks alone are finite.
+        rows = [[1.0, 2.0], [math.nan, 1.0], [3.0, 4.0], [2.0, 2.0], [5.0, 1.0]]
+        expected = _KERNEL_SCALE * float(np.median(_pair_squared_distances(rows)))
+        assert math.isnan(expected)
+        assert math.isnan(median_pairwise_cpd(rows))
 
     def test_memory_stays_flat_in_classes(self):
         # A (G, G, C) difference tensor alone would take 320 MB here.
