@@ -74,9 +74,12 @@ class GroupingPlan:
     num_clients: int
 
     def __post_init__(self) -> None:
-        groups = np.array(self.groups, dtype=np.int64)  # ragged input raises ValueError
+        groups = np.array(self.groups)  # ragged input raises ValueError
         if groups.ndim != 2 or groups.size == 0:
             raise ValueError(f"groups must be a non-empty (M, L) array, got {groups.shape}")
+        if groups.dtype.kind not in "iu":  # int64 would truncate 1.7 to 1
+            raise ValueError(f"client ids must be integers, got dtype {groups.dtype}")
+        groups = groups.astype(np.int64, copy=False)
         if groups.min() < 0 or groups.max() >= self.num_clients:
             raise ValueError(f"client ids must be in [0, {self.num_clients})")
         if np.bincount(groups.ravel(), minlength=self.num_clients).max() > 1:

@@ -78,11 +78,15 @@ def _pair_squared_distances(distributions) -> np.ndarray:
     later row, with at most ``CPD_BLOCK_ELEMENTS`` elements in the block's
     difference tensor; so memory grows with the G*(G-1)/2 results, not with a
     (G, G, C) tensor. Each pair still sums its C squared differences along a
-    contiguous last axis, so the bits match a row-at-a-time loop.
+    contiguous last axis, so the bits match a row-at-a-time loop. Raises
+    ``ValueError`` for a negative or non-finite count or a zero row total, so
+    every distance is finite.
     """
     if len(distributions) < 2:
         return np.empty(0)
     counts = np.asarray(distributions, dtype=float)
+    if not (np.isfinite(counts) & (counts >= 0.0)).all():
+        raise ValueError("class counts must be finite and non-negative")
     totals = counts.sum(axis=1, keepdims=True)
     if (totals <= 0.0).any():
         raise ValueError("class distribution has zero total")
@@ -105,8 +109,8 @@ def cpd(first, second) -> float:
     """Squared-MMD distance between two class distributions.
 
     Args:
-        first, second: Class-count vectors with positive totals (lengths
-            must match).
+        first, second: Finite, non-negative class-count vectors with
+            positive totals (lengths must match).
 
     Returns:
         A non-negative float; 0 iff the normalized distributions coincide.
@@ -128,17 +132,15 @@ def median_pairwise_cpd(distributions) -> float:
         raise ValueError("need at least 2 distributions")
     # Median of the raw distances first: scaling each pair before averaging
     # the middle two (even pair counts) can change the last bit. The distances
-    # are a fresh array, so it is partitioned in place around the middle
-    # rank(s) and the last position, as np.median does: the middle element of
-    # an odd count, (low + high) / 2.0 of an even count's middle two, and the
-    # last element if it is NaN (NaN sorts last). These are np.median's bits.
+    # are a fresh array of finite values (the counts are checked), so it is
+    # partitioned in place around the middle rank(s): the middle element of
+    # an odd count, (low + high) / 2.0 of an even count's middle two. These
+    # are np.median's bits.
     squared = _pair_squared_distances(distributions)
     half, odd = divmod(len(squared), 2)
     middle = [half] if odd else [half - 1, half]
-    squared.partition(middle + [-1])
+    squared.partition(middle)
     median = squared[half] if odd else (squared[half - 1] + squared[half]) / 2.0
-    if np.isnan(squared[-1]):
-        median = squared[-1]
     return _KERNEL_SCALE * float(median)
 
 

@@ -23,11 +23,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,7 +58,7 @@ GROWTH_KINDS = (GROWTH_LINEAR, GROWTH_LOG, GROWTH_EXP)
 _EXP_SATURATION = 700.0
 GROWTH_CAP = 2**62
 
-CHECKPOINT_FORMAT_VERSION = 3
+CHECKPOINT_FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -173,7 +174,7 @@ class ExperimentConfig:
 
 
 class RoundRecord(NamedTuple):
-    """One round's metrics: a ``rounds.csv`` row and a checkpoint ``records`` row."""
+    """One round's metrics: a ``rounds.csv`` row."""
 
     round_index: int
     group_count: int
@@ -186,8 +187,10 @@ class RoundRecord(NamedTuple):
     d_comm_cum_mb: float
 
 
-# Each column's type, in column order; a checkpoint row must match it exactly.
-_COLUMN_TYPES = tuple(get_type_hints(RoundRecord).items())
+# The columns a round measures, in column order: a checkpoint ``records`` row.
+# The config and the round fix every other column.
+MEASURED_COLUMNS = ("accuracy", "loss", "median_group_cpd")
+_measured = operator.attrgetter(*MEASURED_COLUMNS)
 
 
 @dataclass
@@ -253,21 +256,21 @@ def _sample_size(kappa: float, group_count: int) -> int:
     return max(1, math.floor(kappa * group_count + 0.5))
 
 
-def round_record(
-    config: ExperimentConfig,
-    round_index: int,
-    t_comp_before: float,
-    accuracy: float,
-    loss: float,
-    median_cpd: float,
+def append_record(
+    state: ExperimentState, accuracy: float, loss: float, median_cpd: float
 ) -> RoundRecord:
-    """Round ``round_index``'s record: the measured values plus the columns the config fixes.
+    """Append the next round's record to ``state.records`` and return it.
 
-    ``t_comp_before`` is the previous round's ``t_comp_cum_s`` (0.0 before
-    round 1); this round's cost is added to it.
+    The measured values are the round's own; the config and the round fix
+    every other column. ``t_comp_cum_s`` adds this round's cost to the last
+    record's (0.0 before round 1). New rounds and restored checkpoint rows
+    both come through here.
     """
+    config = state.config
+    round_index = len(state.records) + 1
     group_count = group_count_for_round(config, round_index)
-    return RoundRecord(
+    t_comp_before = state.records[-1].t_comp_cum_s if state.records else 0.0
+    record = RoundRecord(
         round_index=round_index,
         group_count=group_count,
         sampled_groups=_sample_size(config.kappa, group_count),
@@ -278,13 +281,14 @@ def round_record(
         t_comm_cum_s=metrics.t_comm(round_index, config.cost),
         d_comm_cum_mb=metrics.d_comm(round_index, config.cost),
     )
+    state.records.append(record)
+    return record
 
 
 def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
     """Execute round ``round_index``, advance the state, and return its record.
 
-    Rounds run in order: ``round_index`` must be one past the last record, and
-    the record's ``t_comp_cum_s`` adds this round's cost to the last record's.
+    Rounds run in order: ``round_index`` must be one past the last record.
     """
     if round_index != len(state.records) + 1:
         raise ValueError(
@@ -315,11 +319,8 @@ def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
     else:
         median_cpd = metrics.median_pairwise_cpd(group_distributions(plan, state.counts))
 
-    t_comp_before = state.records[-1].t_comp_cum_s if state.records else 0.0
-    record = round_record(config, round_index, t_comp_before, accuracy, loss, median_cpd)
-    state.records.append(record)
     state.last_plan = plan
-    return record
+    return append_record(state, accuracy, loss, median_cpd)
 
 
 def config_fingerprint(config: ExperimentConfig) -> str:
@@ -329,20 +330,22 @@ def config_fingerprint(config: ExperimentConfig) -> str:
 
 
 def save_checkpoint(state: ExperimentState, path: str) -> None:
-    """Versioned JSON dump of (config fingerprint, global params, round records).
+    """Versioned JSON dump of (config fingerprint, global params, measured rows).
 
-    The config regenerates everything else: the task, the parameter layout,
-    and every PRNG sub-stream, which is derived statelessly from
-    ``(run_seed, purpose, round)``. JSON floats round-trip exactly. The text is
-    one ``json.dumps`` (streaming ``json.dump`` writes the same text, more
-    slowly), written to a temporary file that then replaces ``path``, so a
-    failed write leaves the previous checkpoint intact.
+    Each completed round is one row of its ``MEASURED_COLUMNS``. The config
+    regenerates everything else: the task, the parameter layout, every
+    record's other columns, and every PRNG sub-stream, which is derived
+    statelessly from ``(run_seed, purpose, round)``. JSON floats round-trip
+    exactly. The text is one ``json.dumps`` (streaming ``json.dump`` writes
+    the same text, more slowly), written to a temporary file that then
+    replaces ``path``, so a failed write leaves the previous checkpoint
+    intact.
     """
     payload = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "config": config_fingerprint(state.config),
         "values": state.params.values.tolist(),
-        "records": state.records,
+        "records": list(map(_measured, state.records)),
     }
     text = json.dumps(payload)
     temporary = f"{path}.tmp"
@@ -355,26 +358,28 @@ def save_checkpoint(state: ExperimentState, path: str) -> None:
             os.remove(temporary)
 
 
-def _record(round_index: int, row) -> RoundRecord:
-    """A checkpoint row as a record; each value must have its column's exact type."""
-    if not isinstance(row, list) or len(row) != len(_COLUMN_TYPES):
+def _check_row(round_index: int, row) -> list[float]:
+    """A checkpoint row: one finite ``float`` per measured column."""
+    if not isinstance(row, list) or len(row) != len(MEASURED_COLUMNS):
         raise ValueError(
-            f"checkpoint round {round_index}: expected {len(_COLUMN_TYPES)} values, got {row!r}"
+            f"checkpoint round {round_index}: expected {len(MEASURED_COLUMNS)} values, got {row!r}"
         )
-    for (name, kind), value in zip(_COLUMN_TYPES, row):
-        if type(value) is not kind:  # JSON 1.0 and true are not an int column's 1
+    for name, value in zip(MEASURED_COLUMNS, row):
+        # JSON 1 is an int, not a float; NaN and Infinity are floats.
+        if type(value) is not float or not math.isfinite(value):
             raise ValueError(
-                f"checkpoint round {round_index}: {name} must be {kind.__name__}, got {value!r}"
+                f"checkpoint round {round_index}: {name} must be a finite float, got {value!r}"
             )
-    return RoundRecord(*row)
+    return row
 
 
-def load_checkpoint(path: str) -> tuple[list[RoundRecord], str, np.ndarray]:
-    """Read a checkpoint; returns (records, config fingerprint, parameter values).
+def load_checkpoint(path: str) -> tuple[list[list[float]], str, np.ndarray]:
+    """Read a checkpoint; returns (measured rows, config fingerprint, parameter values).
 
-    Raises ``ValueError`` for a payload that is not a JSON object, another
-    format version, or a record row whose length or value types differ from
-    ``RoundRecord``'s.
+    Row i holds round i + 1's ``MEASURED_COLUMNS``. Raises ``ValueError`` for
+    a payload that is not a JSON object, another format version, or a row
+    that is not three finite values of type ``float``; a bad row's error
+    names its round and column.
     """
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
@@ -383,34 +388,8 @@ def load_checkpoint(path: str) -> tuple[list[RoundRecord], str, np.ndarray]:
     if payload.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format: {payload.get('format_version')}")
     values = np.array(payload["values"], dtype=np.float64)
-    records = [_record(i, row) for i, row in enumerate(payload["records"], start=1)]
-    return records, payload["config"], values
-
-
-def _check_restored_records(config: ExperimentConfig, records: list[RoundRecord]) -> None:
-    """Reject restored rows the config would not have written.
-
-    Each row must match :func:`round_record` rebuilt from its own measured
-    values and the running ``t_comp_cum_s``, and those measured values must
-    be finite. ``median_group_cpd``'s value is not recomputed: that would
-    rebuild every restored round's plan.
-    """
-    t_comp_cum = 0.0
-    for record in records:
-        measured = (record.accuracy, record.loss, record.median_group_cpd)
-        for name, value in zip(("accuracy", "loss", "median_group_cpd"), measured):
-            if not math.isfinite(value):
-                raise ConfigurationError(
-                    f"checkpoint round {record.round_index}: {name} is not finite: {value!r}"
-                )
-        rebuilt = round_record(config, record.round_index, t_comp_cum, *measured)
-        for name, stored, expected in zip(RoundRecord._fields, record, rebuilt):
-            if stored != expected:
-                raise ConfigurationError(
-                    f"checkpoint round {record.round_index}: {name} is {stored!r}, "
-                    f"but the config gives {expected!r}"
-                )
-        t_comp_cum = rebuilt.t_comp_cum_s
+    rows = [_check_row(i, row) for i, row in enumerate(payload["records"], start=1)]
+    return rows, payload["config"], values
 
 
 def preflight(
@@ -422,11 +401,11 @@ def preflight(
     """Check the run arguments, then build the run's state.
 
     Nothing runs or is written. With ``resume_from``, the checkpoint is read
-    once and its records and parameters are restored into the state.
-    Raises ``ConfigurationError`` for a bad checkpoint interval, a checkpoint
-    that cannot be read, one written under a config that differs in anything
-    but ``rounds``, one whose records are not rounds 1..k in order or hold
-    values the config would not have written, or one past ``config.rounds``.
+    once, its parameters are restored and its rows are rebuilt into records
+    by :func:`append_record`. Raises ``ConfigurationError`` for a bad
+    checkpoint interval, a checkpoint that cannot be read (a bad row
+    included), one written under a config that differs in anything but
+    ``rounds``, or one past ``config.rounds``.
     """
     if checkpoint_every is not None:
         if checkpoint_every < 1:
@@ -436,7 +415,7 @@ def preflight(
     if resume_from is None:
         return new_experiment_state(config)
     try:
-        records, fingerprint, values = load_checkpoint(resume_from)
+        rows, fingerprint, values = load_checkpoint(resume_from)
         if fingerprint != config_fingerprint(config):
             raise ConfigurationError(
                 f"checkpoint {resume_from} was written under another config; "
@@ -449,13 +428,12 @@ def preflight(
         raise ConfigurationError(
             f"cannot load checkpoint {resume_from}: {type(exc).__name__}: {exc}"
         ) from None
-    if [record.round_index for record in records] != list(range(1, len(records) + 1)):
-        raise ConfigurationError("checkpoint records are not rounds 1..k in order")
-    _check_restored_records(config, records)
-    if len(records) > config.rounds:
-        raise ConfigurationError(f"checkpoint has {len(records)} rounds; rounds = {config.rounds}")
+    if len(rows) > config.rounds:
+        raise ConfigurationError(f"checkpoint has {len(rows)} rounds; rounds = {config.rounds}")
     state = new_experiment_state(config)
-    state.records, state.params = records, params
+    state.params = params
+    for row in rows:
+        append_record(state, *row)
     return state
 
 

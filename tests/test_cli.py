@@ -366,20 +366,28 @@ class TestCmdRun:
         assert "checkpoint has 3 rounds; rounds = 2" in capsys.readouterr().err
         assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
 
-    def test_format_one_checkpoint_is_config_error(self, tmp_path, config_path, capsys):
-        # Format 1 stored a round count in place of the round records.
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_format_one_checkpoint_is_config_error(self, tmp_path, config_path, capsys, version):
+        # Format 1 stored a round count in place of the round records; format
+        # 3 stored every rounds.csv column of each record.
         run = ["run", "--config", str(config_path)]
         part = tmp_path / "part"
         assert main(run + ["--out", str(part), "--checkpoint-every", "2"]) == 0
-        checkpoint = tmp_path / "format1.json"
+        checkpoint = tmp_path / f"format{version}.json"
         payload = json.loads((part / "smoke" / "checkpoint.json").read_text())
-        payload["format_version"] = 1
-        payload["round"] = len(payload.pop("records"))
+        payload["format_version"] = version
+        if version == 1:
+            payload["round"] = len(payload.pop("records"))
+        else:
+            rows = read_rows(part / "smoke" / "rounds.csv")[1:]
+            payload["records"] = [[json.loads(cell) for cell in row] for row in rows]
         checkpoint.write_text(json.dumps(payload))
         resumed = tmp_path / "resumed"
         resume = ["--out", str(resumed), "--set", "rounds=4", "--resume", str(checkpoint)]
         assert main(run + resume) == 1
-        assert f"cannot load checkpoint {checkpoint}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"cannot load checkpoint {checkpoint}" in err
+        assert f"unsupported checkpoint format: {version}" in err
         assert not resumed.exists()
 
     @pytest.mark.parametrize("every", ["0", "-2"])
@@ -446,12 +454,12 @@ class TestCmdRun:
         assert main(run + ["--out", str(part), "--checkpoint-every", "2"]) == 0
         checkpoint = part / "smoke" / "checkpoint.json"
         payload = json.loads(checkpoint.read_text())
-        payload["records"][1][1] = 999
+        payload["records"][1][1] = None  # loss
         checkpoint.write_text(json.dumps(payload))
         resumed = tmp_path / "resumed"
         resume = ["--out", str(resumed), "--set", "rounds=4", "--resume", str(checkpoint)]
         assert main(run + resume) == 1
-        assert "checkpoint round 2: group_count is 999" in capsys.readouterr().err
+        assert "checkpoint round 2: loss must be a finite float, got None" in capsys.readouterr().err
         assert not resumed.exists()
 
     def test_resume_with_other_rounds_and_target_accuracy(self, tmp_path, config_path):

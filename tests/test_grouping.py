@@ -959,6 +959,19 @@ class TestPlanInvariants:
         with pytest.raises(ValueError):
             GroupingPlan(1, groups, 4)
 
+    @pytest.mark.parametrize(
+        "groups", [((1.7, 0.2),), np.array([[1.0, 0.0]]), ((True, False),)],
+        ids=["fractional", "whole-floats", "bools"],
+    )
+    def test_rejects_non_integer_ids(self, groups):
+        # An int64 cast once truncated [[1.7, 0.2]] to the plan [[1, 0]].
+        with pytest.raises(ValueError, match="client ids must be integers"):
+            GroupingPlan(1, groups, 3)
+
+    def test_unsigned_ids_become_int64(self):
+        groups = GroupingPlan(1, np.array([[2, 0]], dtype=np.uint8), 3).groups
+        assert groups.dtype == np.int64 and groups.tolist() == [[2, 0]]
+
     def test_groups_are_read_only(self):
         plan = random_grouping(12, 3, 1, seed=2)
         with pytest.raises(ValueError):

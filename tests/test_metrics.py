@@ -128,12 +128,16 @@ class TestMedianPairwise:
         expected = _KERNEL_SCALE * float(np.median(_pair_squared_distances(rows)))
         assert median_pairwise_cpd(rows).hex() == expected.hex()
 
-    def test_nan_distance_gives_np_median_nan(self):
-        # Ten pairs, four NaN: the middle two ranks alone are finite.
-        rows = [[1.0, 2.0], [math.nan, 1.0], [3.0, 4.0], [2.0, 2.0], [5.0, 1.0]]
-        expected = _KERNEL_SCALE * float(np.median(_pair_squared_distances(rows)))
-        assert math.isnan(expected)
-        assert math.isnan(median_pairwise_cpd(rows))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_rejects_non_finite_or_negative_counts(self, bad):
+        # A NaN or inf count gave NaN distances and a NaN median; a negative
+        # one gave a number (cpd([-1, 3], [1, 1]) was 1.26).
+        rows = [[1.0, 2.0], [bad, 3.0], [3.0, 4.0], [2.0, 2.0], [5.0, 1.0]]
+        message = "class counts must be finite and non-negative"
+        with pytest.raises(ValueError, match=message):
+            median_pairwise_cpd(rows)
+        with pytest.raises(ValueError, match=message):
+            cpd(rows[1], rows[0])
 
     def test_memory_stays_flat_in_classes(self):
         # A (G, G, C) difference tensor alone would take 320 MB here.

@@ -361,7 +361,8 @@ class TestRunExperiment:
         assert next(rounds).round_index == 1
         assert not (tmp_path / "checkpoint.json").exists()
         assert next(rounds).round_index == 2
-        assert load_checkpoint(checkpoint)[0] == state.records[:2]
+        measured = [[r.accuracy, r.loss, r.median_group_cpd] for r in state.records]
+        assert load_checkpoint(checkpoint)[0] == measured[:2]
         assert len(state.records) == 2  # round 3 waits for the next request
 
     def test_checkpoint_resume_is_bit_identical(self, tmp_path):
@@ -404,33 +405,19 @@ class TestRunExperiment:
             assert record_bytes(resumed) == record_bytes(straight)
             assert params.values.tobytes() == straight_params.values.tobytes()
 
-    @pytest.mark.parametrize("indices", [[1, 3], [2, 1], [0, 1], [2, 3]])
-    def test_resume_rejects_records_out_of_order(self, tmp_path, indices):
-        checkpoint = tmp_path / "ck.json"
-        run_experiment(
-            make_config(rounds=2), checkpoint_path=str(checkpoint), checkpoint_every=2
-        )
-        payload = json.loads(checkpoint.read_text())
-        for row, index in zip(payload["records"], indices):
-            row[0] = index
-        checkpoint.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError, match="not rounds 1..k in order"):
-            run_experiment(make_config(rounds=4), resume_from=str(checkpoint))
-
     @pytest.mark.parametrize(
         "column, value, message",
         [
-            (0, 2.0, "round_index must be int, got 2.0"),
-            (1, 4.0, "group_count must be int, got 4.0"),
-            (2, True, "sampled_groups must be int, got True"),
-            (3, 1, "accuracy must be float, got 1"),
-            (8, None, "d_comm_cum_mb must be float, got None"),
+            (0, 1, "accuracy must be a finite float, got 1"),
+            (2, None, "median_group_cpd must be a finite float, got None"),
+            (0, math.nan, "accuracy must be a finite float, got nan"),
+            (1, math.inf, "loss must be a finite float, got inf"),
         ],
-        ids=["round-float", "M-float", "sampled-bool", "accuracy-int", "d_comm-null"],
+        ids=["accuracy-int", "median_group_cpd-null", "accuracy-nan", "loss-inf"],
     )
     def test_resume_rejects_mistyped_record_values(self, tmp_path, column, value, message):
-        # JSON 2.0 == 2 and true == 1 pass the order check; resuming on them
-        # would write "2.0" where a straight run writes "2".
+        # Resuming on JSON 1 would write "1" where a straight run writes
+        # "1.0"; JSON NaN and Infinity parse as floats.
         checkpoint = tmp_path / "ck.json"
         run_experiment(
             make_config(rounds=2), checkpoint_path=str(checkpoint), checkpoint_every=2
@@ -441,42 +428,17 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match=re.escape(f"round 2: {message}")):
             run_experiment(make_config(rounds=4), resume_from=str(checkpoint))
 
-    @pytest.mark.parametrize("cut", [slice(0, 8), slice(0, 0)], ids=["eight", "empty"])
-    def test_resume_rejects_record_rows_of_another_length(self, tmp_path, cut):
+    @pytest.mark.parametrize("length", [2, 0, 4], ids=["two", "empty", "four"])
+    def test_resume_rejects_record_rows_of_another_length(self, tmp_path, length):
         checkpoint = tmp_path / "ck.json"
         run_experiment(
             make_config(rounds=1), checkpoint_path=str(checkpoint), checkpoint_every=1
         )
         payload = json.loads(checkpoint.read_text())
-        payload["records"][0] = payload["records"][0][cut]
+        payload["records"][0] = (payload["records"][0] * 2)[:length]
         checkpoint.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError, match="round 1: expected 9 values"):
+        with pytest.raises(ConfigurationError, match="round 1: expected 3 values"):
             run_experiment(make_config(rounds=2), resume_from=str(checkpoint))
-
-    @pytest.mark.parametrize(
-        "column, value, message",
-        [
-            (1, 999, "group_count is 999, but the config gives"),
-            (6, 123.0, "t_comp_cum_s is 123.0, but the config gives"),
-            (3, math.nan, "accuracy is not finite: nan"),
-        ],
-        ids=["M", "t_comp", "accuracy-nan"],
-    )
-    def test_resume_rejects_record_values_the_config_would_not_write(
-        self, tmp_path, column, value, message
-    ):
-        # Each edit passes the type and order checks. Resuming on it would
-        # write the edited cell, and an edited t_comp_cum_s would carry into
-        # every later round's running sum.
-        checkpoint = tmp_path / "ck.json"
-        run_experiment(
-            make_config(rounds=2), checkpoint_path=str(checkpoint), checkpoint_every=2
-        )
-        payload = json.loads(checkpoint.read_text())
-        payload["records"][1][column] = value
-        checkpoint.write_text(json.dumps(payload))
-        with pytest.raises(ConfigurationError, match=re.escape(f"round 2: {message}")):
-            run_experiment(make_config(rounds=4), resume_from=str(checkpoint))
 
     def test_t_comp_running_sum_matches_full_recount(self):
         # Bitwise: the per-round running sum adds in the same order as t_comp
@@ -527,11 +489,12 @@ class TestRunExperiment:
             RoundRecord(i + 1, *data.draw(st.tuples(*[st.integers(1, 2**62)] * 2, *[floats] * 6)))
             for i in range(data.draw(st.integers(0, 4), label="records"))
         ]
+        measured = [[r.accuracy, r.loss, r.median_group_cpd] for r in state.records]
         payload = {
             "format_version": CHECKPOINT_FORMAT_VERSION,
             "config": config_fingerprint(state.config),
             "values": values,
-            "records": [tuple(record) for record in state.records],
+            "records": measured,
         }
         streamed = io.StringIO()
         json.dump(payload, streamed)
@@ -539,7 +502,7 @@ class TestRunExperiment:
             path = Path(directory) / "ck.json"
             save_checkpoint(state, str(path))
             text = path.read_bytes()
-            assert load_checkpoint(str(path))[0] == state.records
+            assert load_checkpoint(str(path))[0] == measured
         assert text == json.dumps(payload).encode() == streamed.getvalue().encode()
 
     def test_fedavg_computes_its_cpd_once_per_run(self, monkeypatch):
