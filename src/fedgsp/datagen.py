@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .rng import dirichlet_proportions, generator
+from .rng import dirichlet_proportions, generator, generators
 
 TEST_SAMPLES_PER_CLASS = 100
 
@@ -93,26 +93,27 @@ def largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray:
     """Round proportions to integer counts that sum exactly to ``total``.
 
     Largest-remainder rule; ties go to the lower index so the result is
-    reproducible.
+    reproducible. A (K, C) matrix rounds each row on its own.
     """
     scaled = np.asarray(proportions, dtype=float) * total
     base = np.floor(scaled).astype(np.int64)
-    short = int(total - base.sum())
-    if short < 0:
+    short = total - base.sum(axis=-1, keepdims=True)
+    if (short < 0).any():
         raise ValueError("proportions must sum to (at most) 1")
-    if short > 0:
-        order = np.lexsort((np.arange(len(scaled)), -(scaled - base)))
-        base[order[:short]] += 1
+    if (short > 0).any():
+        # A stable sort keeps tied remainders in index order.
+        order = np.argsort(-(scaled - base), axis=-1, kind="stable")
+        raised = np.take_along_axis(base, order, axis=-1) + (np.arange(scaled.shape[-1]) < short)
+        np.put_along_axis(base, order, raised, axis=-1)
     return base
 
 
 def _dirichlet_label_counts(spec: SyntheticTaskSpec) -> np.ndarray:
-    counts = np.zeros((spec.num_clients, spec.num_classes), dtype=np.int64)
-    for k in range(spec.num_clients):
-        rng = generator(spec.seed, "dirichlet-proportions", k)
-        proportions = dirichlet_proportions(rng, spec.concentration, spec.num_classes)
-        counts[k] = largest_remainder_counts(proportions, spec.samples_per_client)
-    return counts
+    rngs = generators(spec.seed, "dirichlet-proportions", range(spec.num_clients))
+    proportions = np.stack(
+        [dirichlet_proportions(rng, spec.concentration, spec.num_classes) for rng in rngs]
+    )
+    return largest_remainder_counts(proportions, spec.samples_per_client)
 
 
 def _shard_label_counts(spec: SyntheticTaskSpec) -> np.ndarray:
@@ -155,11 +156,12 @@ def generate_task(spec: SyntheticTaskSpec) -> tuple[Dataset, np.ndarray, Dataset
     shape = (spec.num_clients, spec.samples_per_client)
     features = np.empty(shape + (spec.feature_dim,))
     labels = np.empty(shape, dtype=np.int64)
-    for k in range(spec.num_clients):
-        labels[k] = generator(spec.seed, "label-order", k).permutation(
-            np.repeat(np.arange(spec.num_classes), label_counts[k])
-        )
-        features[k] = means[labels[k]] + generator(spec.seed, "features", k).standard_normal(
+    clients = range(spec.num_clients)
+    label_rngs = generators(spec.seed, "label-order", clients)
+    noise_rngs = generators(spec.seed, "features", clients)
+    for k, label_rng, noise_rng in zip(clients, label_rngs, noise_rngs):
+        labels[k] = label_rng.permutation(np.repeat(np.arange(spec.num_classes), label_counts[k]))
+        features[k] = means[labels[k]] + noise_rng.standard_normal(
             (spec.samples_per_client, spec.feature_dim)
         )
 

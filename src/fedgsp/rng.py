@@ -7,6 +7,13 @@ client 7's feature noise is a pure function of the master seed and never
 depends on call order, thread scheduling, or how many other streams were
 drawn first.
 
+A single stream is seeded by numpy itself: ``PCG64(stream id)`` runs the id
+through ``SeedSequence``. A list of streams (one per client, or every batch
+order of a training call) is seeded in bulk: :func:`stream_generators` runs
+``SeedSequence``'s hash over all the ids in one numpy pass, bit for bit, and
+hands each precomputed state to ``PCG64``. That skips numpy's per-call
+``SeedSequence`` set-up, which is most of the cost of building a stream.
+
 Gamma variates (the building block of Dirichlet draws) are produced with the
 Marsaglia-Tsang squeeze method implemented here, on top of the stream's
 normal/uniform output, instead of delegating to a library sampler whose
@@ -17,11 +24,88 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterator
 
 import numpy as np
 from numpy.random import PCG64, Generator  # numpy >= 2 would load it on first use
+from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words, right shifts by half a word, and these multipliers.
+_POOL_SIZE = 4
+_XSHIFT = np.uint32(16)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """The hash constant before each of ``calls`` hash calls, and after the last.
+
+    The constant starts at ``init`` and is multiplied by ``mult`` (mod 2**32)
+    at each call, whatever the data, so the whole sequence is fixed. Column
+    vectors, so that call k hashes with ``c[k]`` and ``c[k + 1]``.
+    """
+    constants = [init]
+    for _ in range(calls):
+        constants.append(constants[-1] * mult & 0xFFFFFFFF)
+    return np.array(constants, dtype=np.uint32)[:, None]
+
+
+# Pool fill (4 calls) and pool mix (3 per source word), then 8 output words.
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+_OTHERS = [[dst for dst in range(_POOL_SIZE) if dst != src] for src in range(_POOL_SIZE)]
+
+
+def _hashmix(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix``, row i with ``constants[i]``/``constants[i + 1]``."""
+    out = values ^ constants[:-1]
+    out *= constants[1:]
+    out ^= out >> _XSHIFT
+    return out
+
+
+def seed_states(ids: np.ndarray) -> np.ndarray:
+    """Return ``SeedSequence(int(i)).generate_state(4, np.uint64)`` for each id.
+
+    Args:
+        ids: (N,) unsigned 64-bit entropy values.
+
+    Returns:
+        A C-contiguous (N, 4) uint64 array, row i the state of ``ids[i]``.
+    """
+    ids = np.asarray(ids, dtype=np.uint64)
+    # The entropy words, low first. An id below 2**32 is one word to numpy,
+    # and a missing word mixes in as 0, so hi = 0 gives the same pool.
+    pool = np.zeros((_POOL_SIZE, ids.size), dtype=np.uint32)
+    pool[0] = ids & np.uint64(0xFFFFFFFF)
+    pool[1] = ids >> np.uint64(32)
+    pool = _hashmix(pool, _HASH_A[: _POOL_SIZE + 1])
+    call = _POOL_SIZE
+    for src, dst in enumerate(_OTHERS):
+        # The source word stays put while its three destinations update.
+        hashed = _hashmix(pool[src], _HASH_A[call : call + _POOL_SIZE])
+        mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashed
+        mixed ^= mixed >> _XSHIFT
+        pool[dst] = mixed
+        call += _POOL_SIZE - 1
+    words = _hashmix(np.tile(pool, (2, 1)), _HASH_B).astype(np.uint64)
+    # Little-endian word pairs, combined arithmetically on any host.
+    return np.ascontiguousarray((words[0::2] | words[1::2] << np.uint64(32)).T)
+
+
+class _Seeded(ISeedSequence):
+    """A seed sequence whose ``generate_state(4, np.uint64)`` is precomputed."""
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks for exactly this: four uint64 words.
+        return self.state
 
 
 def stream_id(seed: int, purpose: str, *ids: int) -> int:
@@ -35,17 +119,30 @@ def stream_id(seed: int, purpose: str, *ids: int) -> int:
     Returns:
         An unsigned 64-bit integer, stable across runs and platforms.
     """
-    h = hashlib.blake2b(digest_size=8)
-    h.update(str(int(seed) & _MASK64).encode())
-    for part in (purpose, *ids):
-        h.update(b"/")
-        h.update(str(part).encode())
-    return int.from_bytes(h.digest(), "little")
+    key = "/".join([str(int(seed) & _MASK64), purpose, *map(str, ids)])
+    return int.from_bytes(hashlib.blake2b(key.encode(), digest_size=8).digest(), "little")
 
 
 def generator(seed: int, purpose: str, *ids: int) -> Generator:
     """Return a fresh PCG64 generator positioned at the named sub-stream."""
     return Generator(PCG64(stream_id(seed, purpose, *ids)))
+
+
+def stream_generators(stream_ids) -> Iterator[Generator]:
+    """Yield ``Generator(PCG64(s))`` for each 64-bit stream id s, bit for bit.
+
+    All the ids are hashed at once, in one numpy pass (:func:`seed_states`),
+    which costs about as much as seeding a handful of streams the numpy way;
+    use :func:`generator` for one stream. Each generator is built when it is
+    taken, so a long list never holds all of them at once.
+    """
+    states = seed_states(stream_ids)
+    return (Generator(PCG64(_Seeded(state))) for state in states)
+
+
+def generators(seed: int, purpose: str, ids) -> Iterator[Generator]:
+    """Yield ``generator(seed, purpose, i)`` for each i of ``ids``, bit for bit."""
+    return stream_generators([stream_id(seed, purpose, i) for i in ids])
 
 
 def gamma_variate(rng: Generator, shape: float) -> float:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, TrainingDivergedError
-from .rng import generator
+from .rng import generator, stream_generators, stream_id
 
 KIND_SOFTMAX_LINEAR = "softmax_linear"
 KIND_MLP_ONE_HIDDEN = "mlp_one_hidden"
@@ -265,15 +265,21 @@ def train_chains(
             f"non-finite {where} (learning-rate blowup?)"
         )
 
+    # Every batch-order stream of the call, seeded in one pass, in the order
+    # the loop below takes them: by position, then epoch, then chain.
+    epochs = range(config.local_epochs)
+    streams = stream_generators(
+        [
+            stream_id(int(seed), "batch-order", epoch)
+            for column in batch_seeds.T
+            for epoch in epochs
+            for seed in column
+        ]
+    )
     for position in range(groups.shape[1]):
         members = groups[:, position, None]
-        for epoch in range(config.local_epochs):
-            orders = np.stack(
-                [
-                    generator(int(seed), "batch-order", epoch).permutation(n)
-                    for seed in batch_seeds[:, position]
-                ]
-            )
+        for epoch in epochs:
+            orders = np.stack([next(streams).permutation(n) for _ in groups])
             xs = features[members, orders]
             ys = labels[members, orders]
             onehots = (ys[..., None] == classes).astype(np.float64)

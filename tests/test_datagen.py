@@ -41,7 +41,43 @@ class TestSpecValidation:
             make_spec(skew="zipf")
 
 
+def largest_remainder_row_oracle(proportions, total):
+    """One row at a time, ties ordered by ``lexsort`` on (remainder, index)."""
+    scaled = np.asarray(proportions, dtype=float) * total
+    base = np.floor(scaled).astype(np.int64)
+    short = int(total - base.sum())
+    if short > 0:
+        order = np.lexsort((np.arange(len(scaled)), -(scaled - base)))
+        base[order[:short]] += 1
+    return base
+
+
 class TestLargestRemainder:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        weights=st.integers(min_value=1, max_value=8).flatmap(
+            lambda classes: st.lists(
+                st.lists(st.integers(min_value=1, max_value=6), min_size=classes, max_size=classes),
+                min_size=1,
+                max_size=6,
+            )
+        ),
+        total=st.integers(min_value=0, max_value=120),
+    )
+    def test_matrix_rounds_each_row_as_the_row_rule(self, weights, total):
+        # Small integer weights make equal remainders (ties) common.
+        weights = np.array(weights, dtype=float)
+        proportions = weights / weights.sum(axis=1, keepdims=True)
+        counts = largest_remainder_counts(proportions, total)
+        assert counts.dtype == np.int64
+        for row, expected in zip(proportions, counts):
+            assert np.array_equal(expected, largest_remainder_row_oracle(row, total))
+            assert np.array_equal(largest_remainder_counts(row, total), expected)
+
+    def test_matrix_rejects_a_row_over_one(self):
+        with pytest.raises(ValueError):
+            largest_remainder_counts(np.array([[0.5, 0.5], [0.75, 0.5]]), 4)
+
     def test_exact_total(self):
         counts = largest_remainder_counts(np.array([0.5, 0.3, 0.2]), 7)
         assert counts.sum() == 7

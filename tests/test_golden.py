@@ -1,6 +1,7 @@
 """Pinned output bytes: every arm of the shipped demo config, five rounds,
 two of its SGD schedules, the shard-skew ICG path at K = 120, three rounds,
-and two ICG runs that reach one-member groups (L = 1).
+two ICG runs that reach one-member groups (L = 1), and the synthetic task
+of the demo config and of the shard-skew run.
 
 A refactor that claims "output bytes unchanged" must keep these hashes. A
 change that moves the bytes on purpose updates them here and says why in
@@ -10,10 +11,12 @@ CHANGES.md.
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedgsp.cli import main
 from fedgsp.config import load_config_file, resolve
+from fedgsp.datagen import generate_task
 from fedgsp.orchestrator import config_fingerprint
 
 CONFIG = Path(__file__).resolve().parent.parent / "demos" / "experiment.cfg"
@@ -104,6 +107,17 @@ GOLDEN_IDENTITY = {
 }
 
 
+# SHA-256 over the bytes of ``generate_task``'s client features, client
+# labels, class counts, test features and test labels, in that order.
+GOLDEN_TASK = {
+    "desk": ({}, "a87143b4de4c5e93f2bac5f89c36dbb39ba8680611843842ebf6132b5635c419"),
+    "shards-k120": (
+        SHARDS_K120,
+        "6bf939ec55047b057a0d4b1ecd34b4cac14ac521d1ac7c5c0f6918d2013a1307",
+    ),
+}
+
+
 def _digests(run_dir: Path, names) -> dict[str, str]:
     return {
         name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest() for name in names
@@ -156,3 +170,15 @@ def test_config_identity_pinned(name):
     resolved = resolve(load_config_file(str(CONFIG)), overrides)
     assert resolved.content_hash == content_hash
     assert config_fingerprint(resolved.experiment) == fingerprint
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TASK))
+def test_task_bytes_pinned(name):
+    overrides, digest = GOLDEN_TASK[name]
+    clients, counts, test_set = generate_task(
+        resolve(load_config_file(str(CONFIG)), overrides).experiment.task
+    )
+    h = hashlib.sha256()
+    for array in (clients.features, clients.labels, counts, test_set.features, test_set.labels):
+        h.update(np.ascontiguousarray(array).tobytes())
+    assert h.hexdigest() == digest

@@ -1,7 +1,31 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedgsp.rng import dirichlet_proportions, gamma_variate, generator, stream_id
+from fedgsp.rng import (
+    dirichlet_proportions,
+    gamma_variate,
+    generator,
+    generators,
+    seed_states,
+    stream_id,
+)
+
+UINT64 = st.integers(min_value=0, max_value=2**64 - 1)
+EDGE_IDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def stream_id_oracle(seed, purpose, *ids):
+    """The derivation as one ``update`` per part, which ``stream_id`` must equal."""
+    h = hashlib.blake2b(digest_size=8)
+    h.update(str(int(seed) & (2**64 - 1)).encode())
+    for part in (purpose, *ids):
+        h.update(b"/")
+        h.update(str(part).encode())
+    return int.from_bytes(h.digest(), "little")
 
 
 def test_stream_id_is_stable():
@@ -9,6 +33,16 @@ def test_stream_id_is_stable():
     # Frozen value: guards against accidental changes to the derivation rule,
     # which would silently re-randomize every experiment.
     assert stream_id(0, "task") == 14505579101146588355
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=-(2**70), max_value=2**70),
+    purpose=st.text(max_size=12),
+    ids=st.lists(st.integers(min_value=-(2**70), max_value=2**70), max_size=4),
+)
+def test_stream_id_matches_per_part_updates(seed, purpose, ids):
+    assert stream_id(seed, purpose, *ids) == stream_id_oracle(seed, purpose, *ids)
 
 
 def test_streams_differ_by_purpose_and_id():
@@ -25,6 +59,40 @@ def test_generator_reproduces_sequence():
     a = generator(123, "noise", 5).standard_normal(16)
     b = generator(123, "noise", 5).standard_normal(16)
     assert np.array_equal(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ids=st.lists(UINT64, max_size=40))
+def test_bulk_states_match_seed_sequence(ids):
+    ids = EDGE_IDS + ids
+    states = seed_states(np.array(ids, dtype=np.uint64))
+    assert states.shape == (len(ids), 4) and states.dtype == np.uint64
+    assert states.flags.c_contiguous
+    for entropy, state in zip(ids, states):
+        expected = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+        assert np.array_equal(state, expected), entropy
+
+
+def test_no_ids_give_no_generators():
+    assert seed_states(np.array([], dtype=np.uint64)).shape == (0, 4)
+    assert list(generators(3, "features", [])) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=-(2**64), max_value=2**64),
+    ids=st.lists(st.integers(min_value=0, max_value=10**6), max_size=12),
+    size=st.integers(min_value=1, max_value=30),
+)
+def test_generators_draw_as_generator(seed, ids, size):
+    for k, rng in zip(ids, generators(seed, "bulk-test", ids), strict=True):
+        single = generator(seed, "bulk-test", k)
+        assert np.array_equal(rng.permutation(size), single.permutation(size))
+        assert np.array_equal(rng.standard_normal(size), single.standard_normal(size))
+        assert np.array_equal(
+            rng.choice(size, size=size // 2 + 1, replace=False),
+            single.choice(size, size=size // 2 + 1, replace=False),
+        )
 
 
 @pytest.mark.parametrize("shape", [0.3, 0.5, 1.0, 2.5, 9.0])
