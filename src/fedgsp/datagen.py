@@ -126,13 +126,13 @@ def _shard_label_counts(spec: SyntheticTaskSpec) -> np.ndarray:
     shard_size = spec.samples_per_client // spec.shards_per_client
     num_shards = spec.num_clients * spec.shards_per_client
     deal = generator(spec.seed, "shard-deal").permutation(num_shards)
-    counts = np.zeros((spec.num_clients, spec.num_classes), dtype=np.int64)
-    for k in range(spec.num_clients):
-        mine = deal[k * spec.shards_per_client : (k + 1) * spec.shards_per_client]
-        for shard in mine:
-            labels = pool[shard * shard_size : (shard + 1) * shard_size]
-            counts[k] += np.bincount(labels, minlength=spec.num_classes)
-    return counts
+    # Client k holds shards deal[k * shards_per_client : (k + 1) * shards_per_client].
+    owner = np.empty(num_shards, dtype=np.int64)
+    owner[deal] = np.arange(num_shards) // spec.shards_per_client
+    # One tally of (owner, label) over the pool's rows; pool row r is in shard r // shard_size.
+    cells = np.repeat(owner, shard_size) * spec.num_classes + pool
+    counts = np.bincount(cells, minlength=spec.num_clients * spec.num_classes)
+    return counts.reshape(spec.num_clients, spec.num_classes).astype(np.int64, copy=False)
 
 
 def generate_task(spec: SyntheticTaskSpec) -> tuple[Dataset, np.ndarray, Dataset]:
@@ -153,17 +153,20 @@ def generate_task(spec: SyntheticTaskSpec) -> tuple[Dataset, np.ndarray, Dataset
         (spec.num_classes, spec.feature_dim)
     )
 
+    # Every client's labels in class order, then each row shuffled in place by
+    # its own stream: permutation(x) is a copy of x then shuffle, same draws.
     shape = (spec.num_clients, spec.samples_per_client)
+    classes = np.tile(np.arange(spec.num_classes), spec.num_clients)
+    labels = np.repeat(classes, label_counts.ravel()).reshape(shape)
     features = np.empty(shape + (spec.feature_dim,))
-    labels = np.empty(shape, dtype=np.int64)
     clients = range(spec.num_clients)
     label_rngs = generators(spec.seed, "label-order", clients)
     noise_rngs = generators(spec.seed, "features", clients)
-    for k, label_rng, noise_rng in zip(clients, label_rngs, noise_rngs):
-        labels[k] = label_rng.permutation(np.repeat(np.arange(spec.num_classes), label_counts[k]))
-        features[k] = means[labels[k]] + noise_rng.standard_normal(
-            (spec.samples_per_client, spec.feature_dim)
-        )
+    for row, block, label_rng, noise_rng in zip(labels, features, label_rngs, noise_rngs):
+        label_rng.shuffle(row)
+        # The noise is drawn in place; noise + mean has the bits of mean + noise.
+        noise_rng.standard_normal(out=block)
+        block += means[row]
 
     test_labels = np.repeat(np.arange(spec.num_classes), TEST_SAMPLES_PER_CLASS)
     test_rng = generator(spec.seed, "test-set")

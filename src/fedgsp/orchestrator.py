@@ -373,13 +373,24 @@ def _check_row(round_index: int, row) -> list[float]:
     return row
 
 
+def _check_values(values) -> np.ndarray:
+    """The checkpoint's parameter values: a list of finite ``float``, as the writer writes."""
+    if not isinstance(values, list):
+        raise ValueError(f"checkpoint values must be a list, got {type(values).__name__}")
+    for index, value in enumerate(values):
+        # As in a row: JSON 1, true and 10**400 are not floats.
+        if type(value) is not float or not math.isfinite(value):
+            raise ValueError(f"checkpoint values[{index}] must be a finite float, got {value!r}")
+    return np.array(values, dtype=np.float64)
+
+
 def load_checkpoint(path: str) -> tuple[list[list[float]], str, np.ndarray]:
     """Read a checkpoint; returns (measured rows, config fingerprint, parameter values).
 
     Row i holds round i + 1's ``MEASURED_COLUMNS``. Raises ``ValueError`` for
-    a payload that is not a JSON object, another format version, or a row
-    that is not three finite values of type ``float``; a bad row's error
-    names its round and column.
+    a payload that is not a JSON object, another format version, ``values``
+    that are not a list of finite values of type ``float``, or a row that is
+    not three such values; a bad row's error names its round and column.
     """
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
@@ -387,7 +398,7 @@ def load_checkpoint(path: str) -> tuple[list[list[float]], str, np.ndarray]:
         raise ValueError(f"checkpoint is not a JSON object: {type(payload).__name__}")
     if payload.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format: {payload.get('format_version')}")
-    values = np.array(payload["values"], dtype=np.float64)
+    values = _check_values(payload["values"])
     rows = [_check_row(i, row) for i, row in enumerate(payload["records"], start=1)]
     return rows, payload["config"], values
 

@@ -13,6 +13,9 @@ order of a training call) is seeded in bulk: :func:`stream_generators` runs
 ``SeedSequence``'s hash over all the ids in one numpy pass, bit for bit, and
 hands each precomputed state to ``PCG64``. That skips numpy's per-call
 ``SeedSequence`` set-up, which is most of the cost of building a stream.
+:func:`generators` also hashes the key prefix its ids share only once:
+BLAKE2b is a streaming hash, so a copy of the state after the prefix, fed
+the rest of the key, gives the one-shot digest.
 
 Gamma variates (the building block of Dirichlet draws) are produced with the
 Marsaglia-Tsang squeeze method implemented here, on top of the stream's
@@ -108,6 +111,16 @@ class _Seeded(ISeedSequence):
         return self.state
 
 
+def _key_hash(seed: int, purpose: str, *parts) -> hashlib.blake2b:
+    """BLAKE2b state after the key ``"{seed mod 2**64}/{purpose}/{id}/..."``.
+
+    The one place the key format is declared. With a last part of ``""`` the
+    key ends in ``"/"``: the prefix every id of ``(seed, purpose)`` shares.
+    """
+    key = "/".join([str(int(seed) & _MASK64), purpose, *map(str, parts)])
+    return hashlib.blake2b(key.encode(), digest_size=8)
+
+
 def stream_id(seed: int, purpose: str, *ids: int) -> int:
     """Derive the 64-bit id of the ``(seed, purpose, *ids)`` sub-stream.
 
@@ -119,8 +132,7 @@ def stream_id(seed: int, purpose: str, *ids: int) -> int:
     Returns:
         An unsigned 64-bit integer, stable across runs and platforms.
     """
-    key = "/".join([str(int(seed) & _MASK64), purpose, *map(str, ids)])
-    return int.from_bytes(hashlib.blake2b(key.encode(), digest_size=8).digest(), "little")
+    return int.from_bytes(_key_hash(seed, purpose, *ids).digest(), "little")
 
 
 def generator(seed: int, purpose: str, *ids: int) -> Generator:
@@ -141,8 +153,19 @@ def stream_generators(stream_ids) -> Iterator[Generator]:
 
 
 def generators(seed: int, purpose: str, ids) -> Iterator[Generator]:
-    """Yield ``generator(seed, purpose, i)`` for each i of ``ids``, bit for bit."""
-    return stream_generators([stream_id(seed, purpose, i) for i in ids])
+    """Yield ``generator(seed, purpose, i)`` for each i of ``ids``, bit for bit.
+
+    The shared ``"{seed}/{purpose}/"`` prefix is hashed once; each id then
+    copies that state and adds its own digits, which gives ``stream_id``'s
+    digest. The little-endian digests are the stream ids.
+    """
+    prefix = _key_hash(seed, purpose, "")
+    digests = []
+    for i in ids:
+        state = prefix.copy()
+        state.update(str(i).encode())
+        digests.append(state.digest())
+    return stream_generators(np.frombuffer(b"".join(digests), dtype="<u8"))
 
 
 def gamma_variate(rng: Generator, shape: float) -> float:

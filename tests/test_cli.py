@@ -403,8 +403,14 @@ class TestCmdRun:
 
     @pytest.mark.parametrize(
         "contents",
-        [None, '{"format_version": 1}', "[]", "null"],
-        ids=["missing", "no-params", "list", "null"],
+        [None, '{"format_version": 1}', "[]", "null"]
+        + [
+            # The writer writes only finite floats; the value is checked
+            # before the config fingerprint is compared.
+            f'{{"format_version": 4, "config": "", "values": [{value}], "records": []}}'
+            for value in ["1" + "0" * 400, "true", "1", "NaN"]
+        ],
+        ids=["missing", "no-params", "list", "null", "huge-int", "true", "int", "nan"],
     )
     def test_unloadable_checkpoint_is_config_error(
         self, tmp_path, config_path, capsys, contents

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedgsp.datagen import SyntheticTaskSpec, generate_task, largest_remainder_counts
+from fedgsp.datagen import (
+    TEST_SAMPLES_PER_CLASS,
+    SyntheticTaskSpec,
+    generate_task,
+    largest_remainder_counts,
+)
 from fedgsp.errors import ConfigurationError
 from fedgsp.metrics import median_pairwise_cpd
+from fedgsp.rng import dirichlet_proportions, generator
 
 
 def make_spec(**kwargs):
@@ -174,3 +180,114 @@ class TestGenerateTask:
             _, counts, _ = generate_task(make_spec(num_clients=20, concentration=concentration))
             spread.append(median_pairwise_cpd(counts))
         assert spread[0] > spread[1]
+
+
+def shard_label_counts_oracle(spec):
+    """Deal the sorted pool's shards and tally each one, shard by shard."""
+    pool_size = spec.num_clients * spec.samples_per_client
+    per_class = largest_remainder_counts(
+        np.full(spec.num_classes, 1.0 / spec.num_classes), pool_size
+    )
+    pool = np.repeat(np.arange(spec.num_classes), per_class)
+    shard_size = spec.samples_per_client // spec.shards_per_client
+    num_shards = spec.num_clients * spec.shards_per_client
+    deal = generator(spec.seed, "shard-deal").permutation(num_shards)
+    counts = np.zeros((spec.num_clients, spec.num_classes), dtype=np.int64)
+    for k in range(spec.num_clients):
+        mine = deal[k * spec.shards_per_client : (k + 1) * spec.shards_per_client]
+        for shard in mine:
+            labels = pool[shard * shard_size : (shard + 1) * shard_size]
+            counts[k] += np.bincount(labels, minlength=spec.num_classes)
+    return counts
+
+
+def generate_task_oracle(spec):
+    """Build the task client by client, each from its own single streams."""
+    if spec.skew == "dirichlet":
+        proportions = [
+            dirichlet_proportions(
+                generator(spec.seed, "dirichlet-proportions", k),
+                spec.concentration,
+                spec.num_classes,
+            )
+            for k in range(spec.num_clients)
+        ]
+        label_counts = largest_remainder_counts(np.stack(proportions), spec.samples_per_client)
+    else:
+        label_counts = shard_label_counts_oracle(spec)
+    means = generator(spec.seed, "class-means").standard_normal(
+        (spec.num_classes, spec.feature_dim)
+    )
+    shape = (spec.num_clients, spec.samples_per_client)
+    features = np.empty(shape + (spec.feature_dim,))
+    labels = np.empty(shape, dtype=np.int64)
+    for k in range(spec.num_clients):
+        ordered = np.repeat(np.arange(spec.num_classes), label_counts[k])
+        labels[k] = generator(spec.seed, "label-order", k).permutation(ordered)
+        features[k] = means[labels[k]] + generator(spec.seed, "features", k).standard_normal(
+            (spec.samples_per_client, spec.feature_dim)
+        )
+    test_rng = generator(spec.seed, "test-set")
+    test_labels = test_rng.permutation(
+        np.repeat(np.arange(spec.num_classes), TEST_SAMPLES_PER_CLASS)
+    )
+    test_features = means[test_labels] + test_rng.standard_normal(
+        (test_labels.size, spec.feature_dim)
+    )
+    return (features, labels), label_counts, (test_features, test_labels)
+
+
+def task_arrays(clients, counts, test):
+    return [clients[0], clients[1], counts, test[0], test[1]]
+
+
+@st.composite
+def task_specs(draw):
+    samples = draw(st.integers(1, 24))
+    shards = draw(st.sampled_from([s for s in range(1, samples + 1) if samples % s == 0]))
+    return SyntheticTaskSpec(
+        num_classes=draw(st.integers(2, 7)),
+        num_clients=draw(st.integers(2, 9)),
+        samples_per_client=samples,
+        feature_dim=draw(st.integers(1, 4)),
+        skew=draw(st.sampled_from(["dirichlet", "shards"])),
+        concentration=draw(st.sampled_from([0.01, 0.3, 5.0])),
+        shards_per_client=shards,
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+def edge_spec(skew, **kwargs):
+    base = dict(num_classes=2, num_clients=2, samples_per_client=1, feature_dim=1, seed=5)
+    base.update(kwargs)
+    return SyntheticTaskSpec(skew=skew, **base)
+
+
+# K = 2, C = 2, n = 1 under both skews; one sample per shard
+# (shards_per_client = n); a concentration that leaves classes at zero count.
+EDGE_SPECS = [
+    edge_spec("dirichlet"),
+    edge_spec("shards", shards_per_client=1),
+    edge_spec("shards", samples_per_client=6, shards_per_client=6, num_classes=4, num_clients=5),
+    edge_spec("dirichlet", num_classes=6, num_clients=4, samples_per_client=9, concentration=0.01),
+]
+
+
+def test_small_concentration_edge_spec_leaves_zero_counts():
+    _, counts, _ = generate_task(EDGE_SPECS[-1])
+    assert (counts == 0).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=task_specs())
+@example(spec=EDGE_SPECS[0])
+@example(spec=EDGE_SPECS[1])
+@example(spec=EDGE_SPECS[2])
+@example(spec=EDGE_SPECS[3])
+def test_generate_task_matches_the_client_loop(spec):
+    clients, counts, test = generate_task(spec)
+    got = task_arrays((clients.features, clients.labels), counts, (test.features, test.labels))
+    expected = task_arrays(*generate_task_oracle(spec))
+    for array, reference in zip(got, expected, strict=True):
+        assert array.dtype == reference.dtype and array.shape == reference.shape
+        assert array.tobytes() == reference.tobytes()

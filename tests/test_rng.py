@@ -2,7 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedgsp.rng import (
@@ -80,13 +80,18 @@ def test_no_ids_give_no_generators():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    seed=st.integers(min_value=-(2**64), max_value=2**64),
-    ids=st.lists(st.integers(min_value=0, max_value=10**6), max_size=12),
+    seed=st.integers(min_value=-(2**70), max_value=2**70),
+    purpose=st.text(max_size=12),
+    ids=st.lists(st.integers(min_value=-(2**70), max_value=2**70), max_size=12),
     size=st.integers(min_value=1, max_value=30),
 )
-def test_generators_draw_as_generator(seed, ids, size):
-    for k, rng in zip(ids, generators(seed, "bulk-test", ids), strict=True):
-        single = generator(seed, "bulk-test", k)
+@example(seed=-(2**64) - 1, purpose="a/b", ids=[2**64, -(2**64), -1, 0], size=5)
+@example(seed=2**64 + 3, purpose="f\u00e9atures/\u6570", ids=[7, 2**70], size=5)
+def test_generators_draw_as_generator(seed, purpose, ids, size):
+    # generators hashes the "{seed}/{purpose}/" prefix once; the draws pin it
+    # to stream_id's key format, "/" and non-ASCII purposes included.
+    for k, rng in zip(ids, generators(seed, purpose, ids), strict=True):
+        single = generator(seed, purpose, k)
         assert np.array_equal(rng.permutation(size), single.permutation(size))
         assert np.array_equal(rng.standard_normal(size), single.standard_normal(size))
         assert np.array_equal(
