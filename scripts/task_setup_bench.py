@@ -2,17 +2,18 @@
 
 Usage (from the root of a checkout)::
 
-    python3 scripts/task_setup_bench.py [--src DIR] [--clients 1000 10000] [--runs 3]
+    python3 scripts/task_setup_bench.py [--src DIR]
 
-For each client count K and each skew (``dirichlet``, ``shards``), ``--runs``
-fresh child processes each import ``fedgsp`` from ``--src`` (default: this
-checkout's ``src``), build the demo config's task shape at K clients (10
-classes, 50 samples per client, 8 features, concentration 0.3 or two shards
-per client) and call ``generate_task`` ``--repeats`` times. A child reports
-each call's wall time and its peak RSS (``ru_maxrss``) after importing and
-after the calls, so the peak is that of one task build in a new process.
-BLAS is pinned to one thread. Prints one JSON object: every child's figures
-and, per (K, skew), the best and median call time and the largest peak RSS.
+For K = 1,000 and 10,000 clients and each skew (``dirichlet``, ``shards``),
+five fresh child processes each import ``fedgsp`` from ``--src`` (default:
+this checkout's ``src``), build the demo config's task shape at K clients
+(10 classes, 50 samples per client, 8 features, concentration 0.3 or two
+shards per client) and call ``generate_task`` once. A child reports the
+call's wall time and its peak RSS (``ru_maxrss``) after importing and after
+the call: one task build in a new process, so no earlier build's freed
+memory shapes the peak. BLAS is pinned to one thread. Prints one JSON
+object: every child's figures and, per (K, skew), the best and median call
+time and the largest peak RSS.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+CLIENTS = (1000, 10000)
 SKEWS = ("dirichlet", "shards")
+RUNS = 5  # fresh processes per (K, skew)
 BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -41,7 +44,7 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale
 
 
-def child(num_clients: int, skew: str, repeats: int) -> dict:
+def child(num_clients: int, skew: str) -> dict:
     from fedgsp.datagen import SyntheticTaskSpec, generate_task
 
     spec = SyntheticTaskSpec(
@@ -55,19 +58,16 @@ def child(num_clients: int, skew: str, repeats: int) -> dict:
         seed=7,
     )
     import_rss = peak_rss_mb()
-    seconds = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        task = generate_task(spec)
-        seconds.append(time.perf_counter() - start)
-        del task
+    start = time.perf_counter()
+    generate_task(spec)
+    seconds = time.perf_counter() - start
     return {"seconds": seconds, "import_rss_mb": import_rss, "peak_rss_mb": peak_rss_mb()}
 
 
-def run_child(src: Path, num_clients: int, skew: str, repeats: int) -> dict:
+def run_child(src: Path, num_clients: int, skew: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src))
     env.update({name: "1" for name in BLAS_THREAD_VARIABLES})
-    command = [sys.executable, __file__, "--child", str(num_clients), skew, str(repeats)]
+    command = [sys.executable, __file__, "--child", str(num_clients), skew]
     done = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -75,23 +75,17 @@ def run_child(src: Path, num_clients: int, skew: str, repeats: int) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
-    parser.add_argument("--clients", type=int, nargs="+", default=[1000, 10000])
-    parser.add_argument("--runs", type=int, default=3, help="fresh processes per case")
-    parser.add_argument("--repeats", type=int, default=3, help="generate_task calls per process")
-    parser.add_argument("--child", nargs=3, help=argparse.SUPPRESS)
+    parser.add_argument("--child", nargs=2, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        num_clients, skew, repeats = args.child
-        print(json.dumps(child(int(num_clients), skew, int(repeats))))
+        num_clients, skew = args.child
+        print(json.dumps(child(int(num_clients), skew)))
         return
     cases = []
-    for num_clients in args.clients:
+    for num_clients in CLIENTS:
         for skew in SKEWS:
-            runs = [
-                run_child(args.src.resolve(), num_clients, skew, args.repeats)
-                for _ in range(args.runs)
-            ]
-            seconds = [s for run in runs for s in run["seconds"]]
+            runs = [run_child(args.src.resolve(), num_clients, skew) for _ in range(RUNS)]
+            seconds = [run["seconds"] for run in runs]
             cases.append(
                 {
                     "num_clients": num_clients,

@@ -129,8 +129,9 @@ def _shard_label_counts(spec: SyntheticTaskSpec) -> np.ndarray:
     # Client k holds shards deal[k * shards_per_client : (k + 1) * shards_per_client].
     owner = np.empty(num_shards, dtype=np.int64)
     owner[deal] = np.arange(num_shards) // spec.shards_per_client
-    # One tally of (owner, label) over the pool's rows; pool row r is in shard r // shard_size.
-    cells = np.repeat(owner, shard_size) * spec.num_classes + pool
+    # One tally of (owner, label) cells over the pool; row r is in shard r // shard_size.
+    cells = np.repeat(owner * spec.num_classes, shard_size)
+    cells += pool
     counts = np.bincount(cells, minlength=spec.num_clients * spec.num_classes)
     return counts.reshape(spec.num_clients, spec.num_classes).astype(np.int64, copy=False)
 
@@ -156,8 +157,9 @@ def generate_task(spec: SyntheticTaskSpec) -> tuple[Dataset, np.ndarray, Dataset
     # Every client's labels in class order, then each row shuffled in place by
     # its own stream: permutation(x) is a copy of x then shuffle, same draws.
     shape = (spec.num_clients, spec.samples_per_client)
-    classes = np.tile(np.arange(spec.num_classes), spec.num_clients)
-    labels = np.repeat(classes, label_counts.ravel()).reshape(shape)
+    labels = np.repeat(
+        np.tile(np.arange(spec.num_classes), spec.num_clients), label_counts.ravel()
+    ).reshape(shape)
     features = np.empty(shape + (spec.feature_dim,))
     clients = range(spec.num_clients)
     label_rngs = generators(spec.seed, "label-order", clients)

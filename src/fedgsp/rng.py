@@ -160,12 +160,12 @@ def generators(seed: int, purpose: str, ids) -> Iterator[Generator]:
     digest. The little-endian digests are the stream ids.
     """
     prefix = _key_hash(seed, purpose, "")
-    digests = []
+    digests = bytearray()  # one buffer, not one bytes object per id
     for i in ids:
         state = prefix.copy()
         state.update(str(i).encode())
-        digests.append(state.digest())
-    return stream_generators(np.frombuffer(b"".join(digests), dtype="<u8"))
+        digests += state.digest()
+    return stream_generators(np.frombuffer(digests, dtype="<u8"))
 
 
 def gamma_variate(rng: Generator, shape: float) -> float:
