@@ -237,10 +237,6 @@ def generate_task_oracle(spec):
     return (features, labels), label_counts, (test_features, test_labels)
 
 
-def task_arrays(clients, counts, test):
-    return [clients[0], clients[1], counts, test[0], test[1]]
-
-
 @st.composite
 def task_specs(draw):
     samples = draw(st.integers(1, 24))
@@ -286,8 +282,9 @@ def test_small_concentration_edge_spec_leaves_zero_counts():
 @example(spec=EDGE_SPECS[3])
 def test_generate_task_matches_the_client_loop(spec):
     clients, counts, test = generate_task(spec)
-    got = task_arrays((clients.features, clients.labels), counts, (test.features, test.labels))
-    expected = task_arrays(*generate_task_oracle(spec))
+    (features, labels), oracle_counts, (test_features, test_labels) = generate_task_oracle(spec)
+    got = [clients.features, clients.labels, counts, test.features, test.labels]
+    expected = [features, labels, oracle_counts, test_features, test_labels]
     for array, reference in zip(got, expected, strict=True):
         assert array.dtype == reference.dtype and array.shape == reference.shape
         assert array.tobytes() == reference.tobytes()
