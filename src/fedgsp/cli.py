@@ -117,10 +117,10 @@ def _execute_run(
 
     Argument errors surface before ``run_dir`` or its manifest is touched.
     Each round's grouping plan goes to ``groupings.jsonl`` as the round
-    completes; ``rounds.csv`` and ``summary.json`` are written once the run
-    finishes, so a failed run leaves neither. A failed run's manifest names
-    the round it failed in, one past the last completed round, as
-    ``failed_round``.
+    completes; ``rounds.csv`` and ``summary.json`` are deleted as the run
+    starts (``checkpoint.json`` is kept) and written once it finishes, so a
+    failed run leaves neither. A failed run's manifest names the round it
+    failed in, one past the last completed round, as ``failed_round``.
     """
     checkpoint_path = (
         str(run_dir / "checkpoint.json") if checkpoint_every is not None else None
@@ -144,6 +144,8 @@ def _execute_run(
         "summary_path": summary_path.name,
     }
     _write_json(manifest_path, manifest)
+    csv_path.unlink(missing_ok=True)
+    summary_path.unlink(missing_ok=True)
 
     grouping_dump = None
     try:

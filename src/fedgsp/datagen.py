@@ -93,13 +93,14 @@ def largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray:
     """Round proportions to integer counts that sum exactly to ``total``.
 
     Largest-remainder rule; ties go to the lower index so the result is
-    reproducible. A (K, C) matrix rounds each row on its own.
+    reproducible. A (K, C) matrix rounds each row on its own; a row that
+    does not sum to 1 raises ``ValueError``.
     """
     scaled = np.asarray(proportions, dtype=float) * total
     base = np.floor(scaled).astype(np.int64)
     short = total - base.sum(axis=-1, keepdims=True)
-    if (short < 0).any():
-        raise ValueError("proportions must sum to (at most) 1")
+    if (short < 0).any() or (short > scaled.shape[-1]).any():
+        raise ValueError("proportions must sum to 1")
     if (short > 0).any():
         # A stable sort keeps tied remainders in index order.
         order = np.argsort(-(scaled - base), axis=-1, kind="stable")

@@ -201,7 +201,12 @@ def dirichlet_proportions(
     """Draw one symmetric Dirichlet(concentration) vector of the given size."""
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    draws = np.array([gamma_variate(rng, concentration) for _ in range(size)])
+    values = [gamma_variate(rng, concentration) for _ in range(size)]
+    draws = np.array(values)
+    if max(values) * size > 2.0**1000:  # near the float64 maximum the sum may overflow
+        with np.errstate(over="ignore"):
+            if not math.isfinite(draws.sum()):
+                draws /= max(values)  # a finite sum keeps its bits
     total = draws.sum()
     if total == 0.0:
         # All components underflowed (pathologically small concentration).

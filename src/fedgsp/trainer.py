@@ -12,15 +12,15 @@ All math is float64 and the functions are pure, which is what makes a
 sequential chain of clients bit-reproducible and equal to centralized SGD
 over the concatenated data under a matched batch schedule.
 
-A round trains G chains of L clients, and every client holds n samples, so
-:func:`train_chains` advances all G chains in lockstep: step t of every chain
-is one stacked update on a (G, P) parameter array, with batched matrix
-products in place of G separate ones. Each chain's result is bit-identical
-to training its clients one at a time with :func:`train_one_client`, which
-stays as that one-client reference (acceptance criterion 5). Each epoch's
-batches are gathered once, subtracting a one-hot of the labels equals the
-indexed subtraction bit for bit, and a failed divergence screen is re-checked
-exactly before anything is raised.
+Each architecture's forward pass (:func:`_forward`), backward pass
+(:func:`_backward`) and the label cross-entropy (:func:`_cross_entropy`) are
+written once, for one model's (b, ...) arrays or a stack of G models'
+(G, b, ...) arrays. A round trains G chains of L clients, and every client
+holds n samples, so :func:`train_chains` advances all G chains in lockstep:
+step t of every chain is one stacked update on a (G, P) parameter array.
+Each chain's result is bit-identical to training its clients one at a time
+with :func:`train_one_client`, which stays as the one-client reference
+(acceptance criterion 5).
 """
 
 from __future__ import annotations
@@ -112,14 +112,12 @@ def init_model(spec: ModelSpec) -> ModelParams:
     """Seeded init: weights uniform in [-s, s] with s = 1/sqrt(fan_in), biases zero."""
     rng = generator(spec.init_seed, "model-init")
     layout = _layout(spec)
-    chunks = []
-    for name, shape in layout:
+    values = np.zeros(sum(math.prod(shape) for _, shape in layout))
+    for name, view in _split(values, layout).items():
         if name.startswith("w"):
-            bound = 1.0 / math.sqrt(shape[1])
-            chunks.append(rng.uniform(-bound, bound, size=shape).ravel())
-        else:
-            chunks.append(np.zeros(shape))
-    return ModelParams(values=np.concatenate(chunks), layout=layout)
+            bound = 1.0 / math.sqrt(view.shape[1])
+            view[...] = rng.uniform(-bound, bound, size=view.shape)
+    return ModelParams(values=values, layout=layout)
 
 
 def _split(values: np.ndarray, layout) -> dict[str, np.ndarray]:
@@ -164,32 +162,41 @@ def _transposed(weights: np.ndarray) -> np.ndarray:
     return weights.swapaxes(-1, -2)
 
 
+def _backward(layers, x, hidden, log_probs, onehot, grad_layers) -> None:
+    """Write the batch-mean cross-entropy gradient into the ``grad_layers`` views.
+
+    ``layers``, ``x`` and ``hidden`` are :func:`_forward`'s, for one model or a
+    stack; ``onehot`` is the labels as float64 one-hot rows.
+    """
+    delta = np.exp(log_probs)
+    delta -= onehot
+    delta /= x.shape[-2]
+    if hidden is not None:
+        upstream = (delta @ layers["w2"]) * (1.0 - hidden * hidden)
+        np.matmul(_transposed(upstream), x, out=grad_layers["w1"])
+        np.add.reduce(upstream, axis=-2, out=grad_layers["b1"])
+        x = hidden  # the output layer's input
+    *_, weights, bias = grad_layers.values()  # the output layer is stored last
+    np.matmul(_transposed(delta), x, out=weights)
+    np.add.reduce(delta, axis=-2, out=bias)
+
+
+def _cross_entropy(log_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy of the labels over the batch axis, one per model."""
+    return -np.take_along_axis(log_probs, labels[..., None], axis=-1)[..., 0].mean(axis=-1)
+
+
 def loss_and_gradient(
     params: ModelParams, features: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its analytic gradient (flat)."""
     layers = _split(params.values, params.layout)
-    batch = len(labels)
     logits, hidden = _forward(layers, features)
     log_probs = _log_softmax(logits)
-    loss = -float(log_probs[np.arange(batch), labels].mean())
-
-    delta = np.exp(log_probs)
-    delta[np.arange(batch), labels] -= 1.0
-    delta /= batch
-
-    if hidden is None:
-        grads = {"w": delta.T @ features, "b": delta.sum(axis=0)}
-    else:
-        upstream = (delta @ layers["w2"]) * (1.0 - hidden * hidden)
-        grads = {
-            "w1": upstream.T @ features,
-            "b1": upstream.sum(axis=0),
-            "w2": delta.T @ hidden,
-            "b2": delta.sum(axis=0),
-        }
-    flat = np.concatenate([grads[name].ravel() for name, _ in params.layout])
-    return loss, flat
+    grad = np.empty_like(params.values)
+    onehot = np.eye(log_probs.shape[-1])[labels]
+    _backward(layers, features, hidden, log_probs, onehot, _split(grad, params.layout))
+    return float(_cross_entropy(log_probs, labels)), grad
 
 
 def train_one_client(
@@ -236,11 +243,10 @@ def train_chains(
     and step t of every chain runs as one stacked update. Row g of the result
     equals the parameter vector of chain g trained alone, bit for bit.
 
-    Each step runs :func:`loss_and_gradient`'s ``_forward`` and
-    ``_log_softmax`` on basic slices of the epoch's gathered batches and
-    repeats its backward pass op for op, except that it subtracts a float64
-    one-hot in place of indexing the label entries (``x - 0.0 == x``), and
-    that it computes no loss unless its one-reduction screen is non-finite.
+    Each step runs the shared ``_forward``, ``_log_softmax`` and
+    ``_backward`` on basic slices of the epoch's gathered batches and one-hot
+    labels. It computes no loss unless its one-reduction screen is
+    non-finite, and re-checks a failed screen exactly before it raises.
 
     Raises:
         TrainingDivergedError: On a non-finite loss, gradient or parameter,
@@ -256,7 +262,7 @@ def train_chains(
     # Views into values and grads: they follow the in-place updates.
     layers = _split(values, params.layout)
     grad_layers = _split(grads, params.layout)
-    classes = np.arange(params.layout[-1][1][0])  # the output bias's length
+    identity = np.eye(params.layout[-1][1][0])  # C x C, C being the output bias's length
 
     def diverged(finite: np.ndarray, position: int, where: str) -> TrainingDivergedError:
         chain = int(np.argmin(finite))
@@ -282,33 +288,19 @@ def train_chains(
             orders = np.stack([next(streams).permutation(n) for _ in groups])
             xs = features[members, orders]
             ys = labels[members, orders]
-            onehots = (ys[..., None] == classes).astype(np.float64)
+            onehots = identity[ys]
             for start in range(0, n, config.batch_size):
                 batch_slice = slice(start, start + config.batch_size)
                 x = xs[:, batch_slice]
                 onehot = onehots[:, batch_slice]
-                batch = x.shape[1]
                 logits, hidden = _forward(layers, x)
                 log_probs = _log_softmax(logits)
-
-                delta = np.exp(log_probs)
-                delta -= onehot
-                delta /= batch
-                if hidden is not None:
-                    upstream = (delta @ layers["w2"]) * (1.0 - hidden * hidden)
-                    np.matmul(_transposed(upstream), x, out=grad_layers["w1"])
-                    np.add.reduce(upstream, axis=1, out=grad_layers["b1"])
-                    np.matmul(_transposed(delta), hidden, out=grad_layers["w2"])
-                    np.add.reduce(delta, axis=1, out=grad_layers["b2"])
-                else:
-                    np.matmul(_transposed(delta), x, out=grad_layers["w"])
-                    np.add.reduce(delta, axis=1, out=grad_layers["b"])
+                _backward(layers, x, hidden, log_probs, onehot, grad_layers)
 
                 # A non-finite entry makes this sum non-finite; a finite sum
                 # that overflows is re-checked exactly before anything raises.
                 if not math.isfinite(np.vdot(log_probs, onehot) + np.add.reduce(grads, axis=None)):
-                    picked = (np.arange(len(groups))[:, None], np.arange(batch), ys[:, batch_slice])
-                    loss = -log_probs[picked].mean(axis=1)
+                    loss = _cross_entropy(log_probs, ys[:, batch_slice])
                     finite = np.isfinite(loss) & np.isfinite(grads).all(axis=1)
                     if not finite.all():
                         raise diverged(
@@ -329,7 +321,5 @@ def evaluate(params: ModelParams, dataset) -> tuple[float, float]:
     # The hidden activation is dropped before the softmax temporaries exist.
     logits = _forward(_split(params.values, params.layout), dataset.features)[0]
     log_probs = _log_softmax(logits)
-    predictions = np.argmax(logits, axis=1)
-    accuracy = float(np.mean(predictions == dataset.labels))
-    loss = -float(log_probs[np.arange(len(dataset.labels)), dataset.labels].mean())
-    return accuracy, loss
+    accuracy = float(np.mean(np.argmax(logits, axis=1) == dataset.labels))
+    return accuracy, float(_cross_entropy(log_probs, dataset.labels))

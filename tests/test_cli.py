@@ -269,6 +269,7 @@ class TestCmdRun:
             "growth.alpha": data.draw(st.floats(0.0, 1e308)),
             "growth.beta": data.draw(st.integers(1, 4)),
             "kappa": data.draw(st.sampled_from([0.5, 1.0, 5e-324, 1e-9, 0.0, 1.0 + 2**-52])),
+            "task.concentration": data.draw(st.sampled_from([5e-324, 0.3, 1e6, 1e308])),
             data.draw(st.sampled_from(COST_KEYS)): data.draw(
                 st.sampled_from([1e-320, 1.0, 1e308])
             ),
@@ -512,6 +513,30 @@ class TestCmdRun:
         assert manifest["status"] == "failed"
         assert manifest["failed_round"] == 3
         assert not (out / "smoke" / "rounds.csv").exists()
+
+    def test_failed_rerun_deletes_the_earlier_outputs(self, tmp_path, config_path, monkeypatch):
+        out = tmp_path / "out"
+        run = ["run", "--config", str(config_path), "--out", str(out), "--name", "foo"]
+        assert main(run + ["--set", "rounds=3", "--checkpoint-every", "1"]) == 0
+        run_dir = out / "foo"
+        assert (run_dir / "rounds.csv").exists() and (run_dir / "summary.json").exists()
+
+        calls = []
+        train_chains = fedgsp.trainer.train_chains
+
+        def diverge_on_second_call(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise TrainingDivergedError("non-finite loss")
+            return train_chains(*args, **kwargs)
+
+        monkeypatch.setattr(fedgsp.orchestrator, "train_chains", diverge_on_second_call)
+        assert main(run + ["--set", "seed=8", "--set", "rounds=5"]) == 2
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert (manifest["status"], manifest["seed"], manifest["failed_round"]) == ("failed", 8, 2)
+        assert not (run_dir / "rounds.csv").exists()
+        assert not (run_dir / "summary.json").exists()
+        assert (run_dir / "checkpoint.json").exists()  # a resume may still need it
 
 
 class TestCmdAblation:

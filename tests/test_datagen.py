@@ -84,6 +84,12 @@ class TestLargestRemainder:
         with pytest.raises(ValueError):
             largest_remainder_counts(np.array([[0.5, 0.5], [0.75, 0.5]]), 4)
 
+    @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [0.1, 0.1, 0.1], [0.5, 0.25, 0.0]])
+    def test_rejects_a_row_short_of_the_total(self, row):
+        # Each row is short of 50 by more than its 3 entries could make up.
+        with pytest.raises(ValueError):
+            largest_remainder_counts(np.array([[1.0, 0.0, 0.0], row]), 50)
+
     def test_exact_total(self):
         counts = largest_remainder_counts(np.array([0.5, 0.3, 0.2]), 7)
         assert counts.sum() == 7

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fedgsp.datagen import Dataset
 from fedgsp.errors import ConfigurationError, TrainingDivergedError
-from fedgsp.rng import generator
+from fedgsp.rng import generator, stream_id
 from fedgsp.trainer import (
     ModelParams,
     ModelSpec,
@@ -242,6 +242,25 @@ class TestSequentialChainEquivalence:
 
 
 class TestTrainChains:
+    def test_single_chain_matches_centralized_oracle(self):
+        # Criterion 5's task and seeds: the production lockstep step against
+        # the per-sample oracle, which shares no code with the trainer.
+        rng = np.random.default_rng(505)
+        spec = ModelSpec(kind="softmax_linear", feature_dim=6, num_classes=4, init_seed=55)
+        params = init_model(spec)
+        chain = [random_dataset(rng, 23, 6, 4) for _ in range(5)]
+        seeds = [stream_id(909, "batch", 1, 0, k) for k in range(5)]
+        clients = Dataset(
+            features=np.stack([dataset.features for dataset in chain]),
+            labels=np.stack([dataset.labels for dataset in chain]),
+        )
+        trained = train_chains(
+            params, clients, [list(range(5))], [seeds], SgdConfig(learning_rate=0.01, batch_size=5)
+        )
+        expected = chained_sgd_oracle(params, chain, 0.01, 5, seeds)
+        assert trained.shape == (1, expected.size)
+        assert float(np.max(np.abs(trained[0] - expected))) <= 1e-12
+
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_per_chain_train_one_client(self, data):
