@@ -244,7 +244,7 @@ class TestSequentialChainEquivalence:
 class TestTrainChains:
     def test_single_chain_matches_centralized_oracle(self):
         # Criterion 5's task and seeds: the production lockstep step against
-        # the per-sample oracle, which shares no code with the trainer.
+        # the per-sample oracle, which shares no training code with it.
         rng = np.random.default_rng(505)
         spec = ModelSpec(kind="softmax_linear", feature_dim=6, num_classes=4, init_seed=55)
         params = init_model(spec)
