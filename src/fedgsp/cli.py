@@ -117,10 +117,10 @@ def _execute_run(
 
     Argument errors surface before ``run_dir`` or its manifest is touched.
     Each round's grouping plan goes to ``groupings.jsonl`` as the round
-    completes; ``rounds.csv`` and ``summary.json`` are deleted as the run
-    starts (``checkpoint.json`` is kept) and written once it finishes, so a
-    failed run leaves neither. A failed run's manifest names the round it
-    failed in, one past the last completed round, as ``failed_round``.
+    completes. That file, ``rounds.csv`` and ``summary.json`` are deleted as
+    the run starts (``checkpoint.json`` is kept); the last two are written once
+    it finishes, so a failed run leaves neither. A failed run's manifest names
+    the round it failed in, one past the last completed round, as ``failed_round``.
     """
     checkpoint_path = (
         str(run_dir / "checkpoint.json") if checkpoint_every is not None else None
@@ -131,6 +131,7 @@ def _execute_run(
     manifest_path = run_dir / "manifest.json"
     csv_path = run_dir / "rounds.csv"
     summary_path = run_dir / "summary.json"
+    grouping_path = run_dir / "groupings.jsonl"
     manifest = {
         "artifact_version": __version__,
         "numpy": np.__version__,
@@ -146,11 +147,12 @@ def _execute_run(
     _write_json(manifest_path, manifest)
     csv_path.unlink(missing_ok=True)
     summary_path.unlink(missing_ok=True)
+    grouping_path.unlink(missing_ok=True)
 
     grouping_dump = None
     try:
         if dump_groupings:
-            grouping_dump = open(run_dir / "groupings.jsonl", "w", encoding="utf-8")
+            grouping_dump = open(grouping_path, "w", encoding="utf-8")
             # Plans are a pure function of (config, round), and the
             # checkpoint's config is this one: re-derive the restored rounds.
             for round_index in range(1, len(state.records) + 1):

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import metrics
 from .datagen import Dataset, SyntheticTaskSpec, generate_task
-from .errors import ConfigurationError
+from .errors import ConfigurationError, TrainingDivergedError
 from .grouping import (
     GroupingPlan,
     group_distributions,
@@ -289,6 +289,7 @@ def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
     """Execute round ``round_index``, advance the state, and return its record.
 
     Rounds run in order: ``round_index`` must be one past the last record.
+    A non-finite chain or averaged model raises ``TrainingDivergedError``.
     """
     if round_index != len(state.records) + 1:
         raise ValueError(
@@ -309,7 +310,12 @@ def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
         for group, members in zip(sampled.tolist(), chains.tolist())
     ]
     trained = train_chains(state.params, state.clients, chains, batch_seeds, config.sgd)
-    state.params = ModelParams(values=trained.mean(axis=0), layout=state.params.layout)
+    averaged = trained.mean(axis=0)  # finite chains can still overflow their sum
+    if not np.isfinite(averaged).all():
+        raise TrainingDivergedError(
+            f"round {round_index}: non-finite averaged model (learning-rate blowup?)"
+        )
+    state.params = ModelParams(values=averaged, layout=state.params.layout)
 
     accuracy, loss = evaluate(state.params, state.test_set)
     if plan.group_count < 2:

@@ -18,9 +18,9 @@ written once, for one model's (b, ...) arrays or a stack of G models'
 (G, b, ...) arrays. A round trains G chains of L clients, and every client
 holds n samples, so :func:`train_chains` advances all G chains in lockstep:
 step t of every chain is one stacked update on a (G, P) parameter array.
-Each chain's result is bit-identical to training its clients one at a time
-with :func:`train_one_client`, which stays as the one-client reference
-(acceptance criterion 5).
+It is the one SGD loop; :func:`train_one_client` runs one client through it.
+Its independent oracles (a client-at-a-time loop on :func:`loss_and_gradient`,
+per-sample centralized SGD, finite differences) live in the tests.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import Dataset
 from .errors import ConfigurationError, TrainingDivergedError
 from .rng import generator, stream_generators, stream_id
 
@@ -204,31 +205,18 @@ def train_one_client(
 ) -> ModelParams:
     """Run ``local_epochs`` of mini-batch SGD on one client's data.
 
-    The batch order of epoch ``e`` is the seeded permutation
-    ``generator(batch_seed, "batch-order", e)``; the input parameters and the
-    dataset are never mutated.
+    This is :func:`train_chains` on one chain of one client: epoch ``e``'s
+    batch order is the permutation ``generator(batch_seed, "batch-order", e)``,
+    and the input parameters and the dataset are never mutated.
 
     Raises:
-        TrainingDivergedError: On a non-finite loss or gradient.
+        ValueError: If the dataset is empty.
+        TrainingDivergedError: On a non-finite loss, gradient or parameter.
     """
-    values = params.values.copy()
-    working = ModelParams(values=values, layout=params.layout)
-    features, labels = dataset.features, dataset.labels
-    n = len(labels)
-    if n == 0:
-        raise ValueError("dataset is empty")
-    for epoch in range(config.local_epochs):
-        order = generator(batch_seed, "batch-order", epoch).permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            loss, grad = loss_and_gradient(working, features[idx], labels[idx])
-            if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
-                raise TrainingDivergedError(
-                    f"non-finite loss/gradient at epoch {epoch}, "
-                    f"batch {start // config.batch_size} (learning-rate blowup?)"
-                )
-            values -= config.learning_rate * grad
-    return ModelParams(values=values, layout=params.layout)
+    client = Dataset(features=dataset.features[None], labels=dataset.labels[None])
+    # Any int seed: stream ids reduce it mod 2**64, and train_chains takes uint64.
+    trained = train_chains(params, client, [[0]], [[batch_seed % 2**64]], config)
+    return ModelParams(values=trained[0], layout=params.layout)
 
 
 def train_chains(
@@ -238,7 +226,7 @@ def train_chains(
 
     Row g of the (G, L) ``groups`` is one chain: clients ``groups[g, 0..L-1]``
     train one after another, client ``groups[g, l]`` with batch seed
-    ``batch_seeds[g, l]``, each as :func:`train_one_client` would. Every
+    ``batch_seeds[g, l]`` seeding its epochs' batch orders. Every
     client of ``clients`` holds n samples, so all chains take the same steps,
     and step t of every chain runs as one stacked update. Row g of the result
     equals the parameter vector of chain g trained alone, bit for bit.
@@ -249,6 +237,7 @@ def train_chains(
     non-finite, and re-checks a failed screen exactly before it raises.
 
     Raises:
+        ValueError: If the clients hold no samples.
         TrainingDivergedError: On a non-finite loss, gradient or parameter,
             naming the chain (row of ``groups``), its client and position,
             and the epoch and batch.
@@ -257,6 +246,8 @@ def train_chains(
     batch_seeds = np.asarray(batch_seeds, dtype=np.uint64)
     features, labels = clients.features, clients.labels
     n = labels.shape[1]
+    if n == 0:
+        raise ValueError("dataset is empty")
     values = np.tile(params.values, (len(groups), 1))
     grads = np.empty_like(values)
     # Views into values and grads: they follow the in-place updates.

@@ -321,6 +321,16 @@ class TestCmdRun:
         assert isinstance(plan["groups"], list)
         assert "unassigned" in plan
 
+    def test_rerun_without_dump_deletes_the_earlier_plans(self, tmp_path, config_path):
+        out = tmp_path / "out"
+        run = ["run", "--config", str(config_path), "--out", str(out), "--name", "foo"]
+        assert main(run + ["--set", "rounds=3", "--dump-groupings"]) == 0
+        run_dir = out / "foo"
+        assert len((run_dir / "groupings.jsonl").read_text().splitlines()) == 3
+        assert main(run + ["--set", "rounds=1", "--set", "seed=9"]) == 0
+        assert not (run_dir / "groupings.jsonl").exists()
+        assert len((run_dir / "rounds.csv").read_text().splitlines()) == 2  # header + 1 round
+
     def test_checkpoint_and_resume(self, tmp_path, config_path):
         full = tmp_path / "full"
         run = ["run", "--config", str(config_path), "--dump-groupings"]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fedgsp import metrics, orchestrator
 from fedgsp.datagen import Dataset, SyntheticTaskSpec
-from fedgsp.errors import ConfigurationError
+from fedgsp.errors import ConfigurationError, TrainingDivergedError
 from fedgsp.grouping import group_distributions, singleton_grouping
 from fedgsp.metrics import CostModelParams, t_comp
 from fedgsp.orchestrator import (
@@ -261,6 +261,31 @@ class TestRunRound:
         ]
         expected = chained_sgd_oracle(initial, chain, 0.01, 5, seeds)
         assert float(np.max(np.abs(state.params.values - expected))) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_average_is_divergence(self):
+        # Every chain's model is finite, but their sum, and so the mean, is not.
+        config = make_config(
+            algorithm="fedavg",
+            task=SyntheticTaskSpec(
+                num_classes=2,
+                num_clients=4,
+                samples_per_client=5,
+                feature_dim=2,
+                skew="dirichlet",
+                concentration=0.4,
+                seed=5,
+            ),
+            model=ModelSpec(kind="softmax_linear", feature_dim=2, num_classes=2, init_seed=2),
+            sgd=SgdConfig(learning_rate=1e308, batch_size=5),
+            kappa=1.0,
+            rounds=1,
+        )
+        state = new_experiment_state(config)
+        params = state.params
+        with pytest.raises(TrainingDivergedError, match=r"^round 1: non-finite averaged model"):
+            run_round(state, 1)
+        assert state.records == [] and state.params is params
 
     def test_aggregation_of_identical_models_is_exact(self):
         # lr=0 keeps every chain output equal to the global model; averaging

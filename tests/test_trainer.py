@@ -47,6 +47,32 @@ def finite_difference_gradient(params, features, labels, step=1e-6):
     return grad / (2.0 * step)
 
 
+def sequential_sgd_oracle(params, dataset, config, batch_seed):
+    """Oracle: one client's local SGD, one ``loss_and_gradient`` call per batch.
+
+    The independent reference for ``train_chains``' lockstep stacked steps:
+    a chain trained one client, and one batch, at a time.
+    """
+    values = params.values.copy()
+    working = ModelParams(values=values, layout=params.layout)
+    features, labels = dataset.features, dataset.labels
+    n = len(labels)
+    if n == 0:
+        raise ValueError("dataset is empty")
+    for epoch in range(config.local_epochs):
+        order = generator(batch_seed, "batch-order", epoch).permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            loss, grad = loss_and_gradient(working, features[idx], labels[idx])
+            if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
+                raise TrainingDivergedError(
+                    f"non-finite loss/gradient at epoch {epoch}, "
+                    f"batch {start // config.batch_size} (learning-rate blowup?)"
+                )
+            values -= config.learning_rate * grad
+    return ModelParams(values=values, layout=params.layout)
+
+
 class TestInitModel:
     def test_deterministic(self):
         spec = ModelSpec(kind="softmax_linear", feature_dim=4, num_classes=3, init_seed=5)
@@ -177,6 +203,27 @@ class TestTrainOneClient:
         with pytest.raises(TrainingDivergedError):
             train_one_client(params, dataset, SgdConfig(learning_rate=1e300), batch_seed=3)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_update_is_divergence(self):
+        # A finite gradient times a huge learning rate overflows the update.
+        spec = ModelSpec(kind="softmax_linear", feature_dim=2, num_classes=2, init_seed=1)
+        dataset = make_dataset(np.full((1, 2), 1e10), [1])
+        config = SgdConfig(learning_rate=1e308, batch_size=1)
+        with pytest.raises(TrainingDivergedError, match="non-finite parameters"):
+            train_one_client(init_model(spec), dataset, config, batch_seed=7)
+
+    def test_any_int_seed_reduces_mod_2_64(self):
+        # Stream ids reduce a seed mod 2**64, so -1 and 2**64 - 1 train alike.
+        rng = np.random.default_rng(3)
+        spec = ModelSpec(kind="softmax_linear", feature_dim=4, num_classes=3, init_seed=5)
+        params = init_model(spec)
+        dataset = random_dataset(rng, 9, 4, 3)
+        config = SgdConfig(learning_rate=0.1, batch_size=2)
+        negative = train_one_client(params, dataset, config, batch_seed=-1)
+        wrapped = train_one_client(params, dataset, config, batch_seed=2**64 - 1)
+        oracle = sequential_sgd_oracle(params, dataset, config, batch_seed=-1)
+        assert negative.values.tobytes() == wrapped.values.tobytes() == oracle.values.tobytes()
+
     def test_multi_epoch_uses_distinct_permutations(self):
         rng = np.random.default_rng(6)
         spec = ModelSpec(kind="softmax_linear", feature_dim=4, num_classes=3, init_seed=9)
@@ -299,7 +346,7 @@ class TestTrainChains:
             current = params
             for client, seed in zip(members, chain_seeds):
                 one = Dataset(clients.features[client], clients.labels[client])
-                current = train_one_client(current, one, config, batch_seed=int(seed))
+                current = sequential_sgd_oracle(current, one, config, batch_seed=int(seed))
             assert trained[chain].tobytes() == current.values.tobytes()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -333,7 +380,7 @@ class TestTrainChains:
             current = params
             for client, seed in zip(members, chain_seeds):
                 one = Dataset(clients.features[client], clients.labels[client])
-                current = train_one_client(current, one, config, batch_seed=seed)
+                current = sequential_sgd_oracle(current, one, config, batch_seed=seed)
             assert row.tobytes() == current.values.tobytes()
 
     @staticmethod
