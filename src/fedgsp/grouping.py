@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rng import generator, stream_id
+from .rng import generator, stream_generators, stream_id, stream_ids
 
 COST_SCALE = 10**6
 MAX_ALTERNATIONS = 10
@@ -576,14 +576,27 @@ def inter_cluster_grouping(
     pts = counts[participants]
     state, history = constrained_cluster(pts, group_size, icg_seed)
 
+    # The L deal streams, then (L >= 2) the M in-group order streams: one
+    # stream is seeded alone, more in one bulk pass.
+    if group_size == 1:
+        streams = iter([generator(icg_seed, "cluster-deal", 0)])
+    else:
+        streams = stream_generators(
+            np.concatenate(
+                [
+                    stream_ids(icg_seed, "cluster-deal", range(group_size)),
+                    stream_ids(icg_seed, "group-order", range(group_count)),
+                ]
+            )
+        )
     # rows[m, l]: the participant row that cluster l deals to group m.
     rows = np.empty((group_count, group_size), dtype=np.int64)
     for l, members in enumerate(_members(state.assignment, group_size)):
-        order = generator(icg_seed, "cluster-deal", l).permutation(len(members))
+        order = next(streams).permutation(len(members))
         rows[:, l] = members[order[:group_count]]
     if group_size > 1:
-        for m in range(group_count):
-            generator(icg_seed, "group-order", m).shuffle(rows[m])
+        for row in rows:
+            next(streams).shuffle(row)
 
     plan = GroupingPlan(round_index, participants[rows], num_clients)
     return IcgResult(

@@ -43,7 +43,7 @@ from .grouping import (
     singleton_grouping,
 )
 from .metrics import CostModelParams
-from .rng import generator, stream_id
+from .rng import generator, stream_id, stream_ids
 from .trainer import ModelParams, ModelSpec, SgdConfig, evaluate, init_model, train_chains
 
 ALGORITHMS = ("fedgsp", "naive_gsp", "naive_gsp_icg", "fedavg")
@@ -147,6 +147,10 @@ class ExperimentConfig:
         validate_kappa(self.kappa)
         if self.rounds < 0:
             raise ConfigurationError(f"rounds must be >= 0, got {self.rounds}")
+        if self.fixed_group_count is not None and self.fixed_group_count < 0:
+            raise ConfigurationError(
+                f"fixed_group_count must be >= 0, got {self.fixed_group_count}"
+            )
         if self.algorithm in ("naive_gsp", "naive_gsp_icg"):
             if self.fixed_group_count is None or self.fixed_group_count < 1:
                 raise ConfigurationError(
@@ -305,12 +309,18 @@ def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
     )
 
     chains = plan.groups[sampled]
-    batch_seeds = [
-        [stream_id(config.run_seed, "batch", round_index, group, client) for client in members]
-        for group, members in zip(sampled.tolist(), chains.tolist())
-    ]
+    batch_seeds = stream_ids(
+        config.run_seed,
+        "batch",
+        [
+            (round_index, group, client)
+            for group, members in zip(sampled.tolist(), chains.tolist())
+            for client in members
+        ],
+    ).reshape(chains.shape)
     trained = train_chains(state.params, state.clients, chains, batch_seeds, config.sgd)
-    averaged = trained.mean(axis=0)  # finite chains can still overflow their sum
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below, not warned
+        averaged = trained.mean(axis=0)  # finite chains can still overflow their sum
     if not np.isfinite(averaged).all():
         raise TrainingDivergedError(
             f"round {round_index}: non-finite averaged model (learning-rate blowup?)"

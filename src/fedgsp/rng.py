@@ -8,14 +8,17 @@ depends on call order, thread scheduling, or how many other streams were
 drawn first.
 
 A single stream is seeded by numpy itself: ``PCG64(stream id)`` runs the id
-through ``SeedSequence``. A list of streams (one per client, or every batch
-order of a training call) is seeded in bulk: :func:`stream_generators` runs
-``SeedSequence``'s hash over all the ids in one numpy pass, bit for bit, and
-hands each precomputed state to ``PCG64``. That skips numpy's per-call
-``SeedSequence`` set-up, which is most of the cost of building a stream.
-:func:`generators` also hashes the key prefix its ids share only once:
-BLAKE2b is a streaming hash, so a copy of the state after the prefix, fed
-the rest of the key, gives the one-shot digest.
+through ``SeedSequence``. A list of streams (one per client, every batch
+order of a training call, a round's ICG deal and order streams) is seeded
+in bulk: :func:`stream_generators` runs ``SeedSequence``'s hash over all the
+ids in one numpy pass, bit for bit, and hands each precomputed state to
+``PCG64``. That skips numpy's per-call ``SeedSequence`` set-up, which is
+most of the cost of building a stream. The ids themselves come in bulk from
+:func:`stream_ids`: an id is one key part or a tuple of them, and a seed
+shared by every key has its ``"{seed}/{purpose}"`` hashed only once, since
+BLAKE2b is a streaming hash and a copy of the state after that start, fed
+the rest of the key, gives the one-shot digest. :func:`_key_hash` is the one
+place the key format is declared.
 
 Gamma variates (the building block of Dirichlet draws) are produced with the
 Marsaglia-Tsang squeeze method implemented here, on top of the stream's
@@ -26,6 +29,7 @@ algorithm could change between releases.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from collections.abc import Iterator
 
@@ -111,14 +115,31 @@ class _Seeded(ISeedSequence):
         return self.state
 
 
-def _key_hash(seed: int, purpose: str, *parts) -> hashlib.blake2b:
-    """BLAKE2b state after the key ``"{seed mod 2**64}/{purpose}/{id}/..."``.
+def _key_hash(seed, purpose: str, ids) -> bytearray:
+    """The 8-byte BLAKE2b digests of the keys ``"{seed mod 2**64}/{purpose}/{part}/..."``.
 
-    The one place the key format is declared. With a last part of ``""`` the
-    key ends in ``"/"``: the prefix every id of ``(seed, purpose)`` shares.
+    The one place the key format is declared. Key i's parts are ``ids[i]``:
+    a tuple of them (``()`` keys the bare ``"{seed}/{purpose}"``) or one
+    part. ``seed`` is one int for every key, whose ``"{seed}/{purpose}"`` is
+    then hashed once, or a sequence of one per key. BLAKE2b is a streaming
+    hash, so a copy of the state after that start, fed the rest of the key,
+    gives the whole key's digest.
     """
-    key = "/".join([str(int(seed) & _MASK64), purpose, *map(str, parts)])
-    return hashlib.blake2b(key.encode(), digest_size=8)
+
+    def start(key_seed) -> hashlib.blake2b:
+        return hashlib.blake2b(f"{int(key_seed) & _MASK64}/{purpose}".encode(), digest_size=8)
+
+    shared = isinstance(seed, (int, np.integer))
+    starts = itertools.repeat(start(seed)) if shared else map(start, seed)
+    digests = bytearray()  # one buffer, not one bytes object per id
+    for state, parts in zip(starts, ids):
+        state = state.copy()
+        if isinstance(parts, tuple):
+            state.update("".join(["/" + str(part) for part in parts]).encode())
+        else:
+            state.update(f"/{parts}".encode())
+        digests += state.digest()
+    return digests
 
 
 def stream_id(seed: int, purpose: str, *ids: int) -> int:
@@ -132,7 +153,17 @@ def stream_id(seed: int, purpose: str, *ids: int) -> int:
     Returns:
         An unsigned 64-bit integer, stable across runs and platforms.
     """
-    return int.from_bytes(_key_hash(seed, purpose, *ids).digest(), "little")
+    return int.from_bytes(_key_hash(seed, purpose, [ids]), "little")
+
+
+def stream_ids(seed, purpose: str, ids) -> np.ndarray:
+    """Return ``stream_id(seed, purpose, *parts)`` for each id, as one (N,) uint64 array.
+
+    An id is one key part or a tuple of them. ``seed`` is one int, shared by
+    every key (its ``"{seed}/{purpose}"`` is hashed once), or a sequence of
+    N ints, one per id.
+    """
+    return np.frombuffer(_key_hash(seed, purpose, ids), dtype="<u8")
 
 
 def generator(seed: int, purpose: str, *ids: int) -> Generator:
@@ -140,7 +171,7 @@ def generator(seed: int, purpose: str, *ids: int) -> Generator:
     return Generator(PCG64(stream_id(seed, purpose, *ids)))
 
 
-def stream_generators(stream_ids) -> Iterator[Generator]:
+def stream_generators(ids) -> Iterator[Generator]:
     """Yield ``Generator(PCG64(s))`` for each 64-bit stream id s, bit for bit.
 
     All the ids are hashed at once, in one numpy pass (:func:`seed_states`),
@@ -148,24 +179,13 @@ def stream_generators(stream_ids) -> Iterator[Generator]:
     use :func:`generator` for one stream. Each generator is built when it is
     taken, so a long list never holds all of them at once.
     """
-    states = seed_states(stream_ids)
+    states = seed_states(ids)
     return (Generator(PCG64(_Seeded(state))) for state in states)
 
 
 def generators(seed: int, purpose: str, ids) -> Iterator[Generator]:
-    """Yield ``generator(seed, purpose, i)`` for each i of ``ids``, bit for bit.
-
-    The shared ``"{seed}/{purpose}/"`` prefix is hashed once; each id then
-    copies that state and adds its own digits, which gives ``stream_id``'s
-    digest. The little-endian digests are the stream ids.
-    """
-    prefix = _key_hash(seed, purpose, "")
-    digests = bytearray()  # one buffer, not one bytes object per id
-    for i in ids:
-        state = prefix.copy()
-        state.update(str(i).encode())
-        digests += state.digest()
-    return stream_generators(np.frombuffer(digests, dtype="<u8"))
+    """Yield ``generator(seed, purpose, i)`` for each i of ``ids``, bit for bit."""
+    return stream_generators(stream_ids(seed, purpose, ids))
 
 
 def gamma_variate(rng: Generator, shape: float) -> float:

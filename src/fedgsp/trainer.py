@@ -32,7 +32,7 @@ import numpy as np
 
 from .datagen import Dataset
 from .errors import ConfigurationError, TrainingDivergedError
-from .rng import generator, stream_generators, stream_id
+from .rng import generator, stream_generators, stream_ids
 
 KIND_SOFTMAX_LINEAR = "softmax_linear"
 KIND_MLP_ONE_HIDDEN = "mlp_one_hidden"
@@ -134,7 +134,12 @@ def _split(values: np.ndarray, layout) -> dict[str, np.ndarray]:
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    return shifted - _log_sum_exp(shifted)
+
+
+def _log_sum_exp(shifted: np.ndarray) -> np.ndarray:
+    """log(sum(exp)) over the class axis of row-max-shifted logits, as a (..., 1) column."""
+    return np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def _forward(layers: dict[str, np.ndarray], features: np.ndarray):
@@ -265,52 +270,63 @@ def train_chains(
     # Every batch-order stream of the call, seeded in one pass, in the order
     # the loop below takes them: by position, then epoch, then chain.
     epochs = range(config.local_epochs)
-    streams = stream_generators(
-        [
-            stream_id(int(seed), "batch-order", epoch)
-            for column in batch_seeds.T
-            for epoch in epochs
-            for seed in column
-        ]
-    )
-    for position in range(groups.shape[1]):
-        members = groups[:, position, None]
-        for epoch in epochs:
-            orders = np.stack([next(streams).permutation(n) for _ in groups])
-            xs = features[members, orders]
-            ys = labels[members, orders]
-            onehots = identity[ys]
-            for start in range(0, n, config.batch_size):
-                batch_slice = slice(start, start + config.batch_size)
-                x = xs[:, batch_slice]
-                onehot = onehots[:, batch_slice]
-                logits, hidden = _forward(layers, x)
-                log_probs = _log_softmax(logits)
-                _backward(layers, x, hidden, log_probs, onehot, grad_layers)
+    seeds = [seed for column in batch_seeds.T.tolist() for _ in epochs for seed in column]
+    chain_epochs = [epoch for epoch in epochs for _ in range(len(groups))] * groups.shape[1]
+    streams = stream_generators(stream_ids(seeds, "batch-order", chain_epochs))
+    # A blow-up overflows before the screens below raise it as
+    # TrainingDivergedError; numpy would warn about it first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for position in range(groups.shape[1]):
+            members = groups[:, position, None]
+            for epoch in epochs:
+                # permutation(n) is arange(n) shuffled: the same draws, in place.
+                orders = np.arange(n)[None].repeat(len(groups), axis=0)
+                for order in orders:
+                    next(streams).shuffle(order)
+                xs = features[members, orders]
+                ys = labels[members, orders]
+                onehots = identity[ys]
+                for start in range(0, n, config.batch_size):
+                    batch_slice = slice(start, start + config.batch_size)
+                    x = xs[:, batch_slice]
+                    onehot = onehots[:, batch_slice]
+                    logits, hidden = _forward(layers, x)
+                    log_probs = _log_softmax(logits)
+                    _backward(layers, x, hidden, log_probs, onehot, grad_layers)
 
-                # A non-finite entry makes this sum non-finite; a finite sum
-                # that overflows is re-checked exactly before anything raises.
-                if not math.isfinite(np.vdot(log_probs, onehot) + np.add.reduce(grads, axis=None)):
-                    loss = _cross_entropy(log_probs, ys[:, batch_slice])
-                    finite = np.isfinite(loss) & np.isfinite(grads).all(axis=1)
-                    if not finite.all():
-                        raise diverged(
-                            finite,
-                            position,
-                            f"loss/gradient at epoch {epoch}, batch {start // config.batch_size}",
-                        )
-                grads *= config.learning_rate
-                values -= grads
-        finite = np.isfinite(values).all(axis=1)
-        if not finite.all():
-            raise diverged(finite, position, "parameters after local training")
+                    # A non-finite entry makes this sum non-finite; a finite sum
+                    # that overflows is re-checked exactly before anything raises.
+                    screen = np.vdot(log_probs, onehot) + np.add.reduce(grads, axis=None)
+                    if not math.isfinite(screen):
+                        loss = _cross_entropy(log_probs, ys[:, batch_slice])
+                        finite = np.isfinite(loss) & np.isfinite(grads).all(axis=1)
+                        if not finite.all():
+                            batch = start // config.batch_size
+                            where = f"loss/gradient at epoch {epoch}, batch {batch}"
+                            raise diverged(finite, position, where)
+                    grads *= config.learning_rate
+                    values -= grads
+            finite = np.isfinite(values).all(axis=1)
+            if not finite.all():
+                raise diverged(finite, position, "parameters after local training")
     return values
 
 
 def evaluate(params: ModelParams, dataset) -> tuple[float, float]:
-    """Accuracy (argmax-match fraction) and mean cross-entropy on a dataset."""
+    """Accuracy (argmax-match fraction) and mean cross-entropy on a dataset.
+
+    The loss has the bits of ``_cross_entropy(_log_softmax(logits), labels)``
+    but forms only the labels' log-probabilities. The row maximum is read at
+    the accuracy's argmax, which holds the same value as the reduced maximum,
+    and shifts the logits in place. Only a ±0 tie at the maximum can flip
+    the sign of a shifted zero, and such a row sums at least two ``exp(0)``,
+    so its label entry is ``-lse`` either way.
+    """
     # The hidden activation is dropped before the softmax temporaries exist.
     logits = _forward(_split(params.values, params.layout), dataset.features)[0]
-    log_probs = _log_softmax(logits)
-    accuracy = float(np.mean(np.argmax(logits, axis=1) == dataset.labels))
-    return accuracy, float(_cross_entropy(log_probs, dataset.labels))
+    predicted = np.argmax(logits, axis=1)
+    accuracy = float(np.mean(predicted == dataset.labels))
+    rows = np.arange(len(logits))
+    logits -= logits[rows, predicted, None]
+    label_log_probs = logits[rows, dataset.labels] - _log_sum_exp(logits)[:, 0]
+    return accuracy, float(-label_log_probs.mean())

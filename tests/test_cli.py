@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -25,6 +28,8 @@ from fedgsp.config import (
 from fedgsp.errors import ConfigurationError, TrainingDivergedError
 from fedgsp.metrics import cpd
 from fedgsp.orchestrator import ALGORITHMS, GROWTH_KINDS, _build_plan, new_experiment_state
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE_CONFIG = """\
 # desk-scale smoke config
@@ -264,7 +269,7 @@ class TestCmdRun:
             "rounds": data.draw(st.integers(0, 3)),
             "task.num_clients": num_clients,
             "task.samples_per_client": data.draw(st.integers(1, 10)),
-            "fixed_group_count": data.draw(st.integers(0, 2 * num_clients + 1)),
+            "fixed_group_count": data.draw(st.integers(-2, 2 * num_clients + 1)),
             "growth.kind": data.draw(st.sampled_from(GROWTH_KINDS)),
             "growth.alpha": data.draw(st.floats(0.0, 1e308)),
             "growth.beta": data.draw(st.integers(1, 4)),
@@ -523,6 +528,46 @@ class TestCmdRun:
         assert manifest["status"] == "failed"
         assert manifest["failed_round"] == 3
         assert not (out / "smoke" / "rounds.csv").exists()
+
+    def test_diverging_run_prints_only_the_error(self, tmp_path):
+        # A fresh interpreter, so numpy's warnings reach stderr as they would
+        # for a user (pytest records them instead).
+        overrides = {
+            "algorithm": "fedavg",
+            "kappa": "1.0",
+            "rounds": "1",
+            "task.num_clients": "4",
+            "task.samples_per_client": "5",
+            "sgd.batch_size": "5",
+            "sgd.learning_rate": "1e308",
+            "task.feature_dim": "2",
+            "task.num_classes": "2",
+            "model.kind": "softmax_linear",
+        }
+        argv = ["run", "--config", str(ROOT / "demos" / "experiment.cfg")]
+        argv += ["--out", str(tmp_path / "out")]
+        for key, value in overrides.items():
+            argv += ["--set", f"{key}={value}"]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "fedgsp", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stderr == (
+            "runtime failure: TrainingDivergedError: round 1: non-finite averaged model "
+            "(learning-rate blowup?)\n"
+        )
+
+    def test_negative_fixed_group_count_is_config_error(self, tmp_path, config_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(config_path), "--out", str(out)]
+        assert main(argv + ["--set", "fixed_group_count=-3"]) == 1
+        assert "fixed_group_count must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failed_rerun_deletes_the_earlier_outputs(self, tmp_path, config_path, monkeypatch):
         out = tmp_path / "out"

@@ -12,6 +12,7 @@ from fedgsp.rng import (
     generators,
     seed_states,
     stream_id,
+    stream_ids,
 )
 
 UINT64 = st.integers(min_value=0, max_value=2**64 - 1)
@@ -45,6 +46,37 @@ def test_stream_id_matches_per_part_updates(seed, purpose, ids):
     assert stream_id(seed, purpose, *ids) == stream_id_oracle(seed, purpose, *ids)
 
 
+SEEDS = st.integers(min_value=-(2**70), max_value=2**70)
+# A bulk id is one key part or a tuple of them; () keys "{seed}/{purpose}".
+KEY_ID = st.one_of(SEEDS, st.lists(SEEDS, max_size=4).map(tuple))
+
+
+def key_parts(key_id):
+    return key_id if isinstance(key_id, tuple) else (key_id,)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=SEEDS, purpose=st.text(max_size=12), ids=st.lists(KEY_ID, max_size=12))
+@example(seed=-(2**64) - 1, purpose="a/b", ids=[2**64, -(2**64), -1, 0, (), (7, 2**70)])
+@example(seed=2**64 + 3, purpose="f\u00e9atures/\u6570", ids=[7, 2**70, (1, -1)])
+def test_bulk_ids_match_stream_id(seed, purpose, ids):
+    bulk = stream_ids(seed, purpose, ids)
+    assert bulk.dtype == np.uint64 and bulk.shape == (len(ids),)
+    assert bulk.tolist() == [stream_id(seed, purpose, *key_parts(i)) for i in ids]
+
+
+@settings(max_examples=150, deadline=None)
+@given(purpose=st.text(max_size=12), keys=st.lists(st.tuples(SEEDS, KEY_ID), max_size=12))
+@example(
+    purpose="f\u00e9atures/\u6570",
+    keys=[(-(2**64) - 1, 2**64), (2**64 + 3, ()), (0, (7, 2**70)), (2**64 - 1, -1), (-1, 0)],
+)
+def test_bulk_ids_with_a_seed_per_key_match_stream_id(purpose, keys):
+    seeds = [seed for seed, _ in keys]
+    bulk = stream_ids(seeds, purpose, [i for _, i in keys])
+    assert bulk.tolist() == [stream_id(seed, purpose, *key_parts(i)) for seed, i in keys]
+
+
 def test_streams_differ_by_purpose_and_id():
     ids = {
         stream_id(7, "features", 3),
@@ -76,6 +108,8 @@ def test_bulk_states_match_seed_sequence(ids):
 def test_no_ids_give_no_generators():
     assert seed_states(np.array([], dtype=np.uint64)).shape == (0, 4)
     assert list(generators(3, "features", [])) == []
+    assert stream_ids(3, "features", []).shape == (0,)
+    assert stream_ids([], "features", []).shape == (0,)
 
 
 @settings(max_examples=60, deadline=None)

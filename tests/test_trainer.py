@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedgsp.trainer
 from fedgsp.datagen import Dataset
 from fedgsp.errors import ConfigurationError, TrainingDivergedError
 from fedgsp.rng import generator, stream_id
 from fedgsp.trainer import (
+    KIND_MLP_ONE_HIDDEN,
+    KIND_SOFTMAX_LINEAR,
     ModelParams,
     ModelSpec,
     SgdConfig,
@@ -71,6 +74,21 @@ def sequential_sgd_oracle(params, dataset, config, batch_seed):
                 )
             values -= config.learning_rate * grad
     return ModelParams(values=values, layout=params.layout)
+
+
+def evaluate_oracle(params, dataset):
+    """Oracle: evaluation through the full (N, C) log-softmax.
+
+    The formula ``evaluate`` had before it took the row maximum at its
+    argmax: shift by the reduced maximum, form every log-probability, pick
+    the labels'. ``evaluate`` must give the same bits.
+    """
+    logits = fedgsp.trainer._forward(_split(params.values, params.layout), dataset.features)[0]
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    accuracy = float(np.mean(np.argmax(logits, axis=1) == dataset.labels))
+    picked = np.take_along_axis(log_probs, dataset.labels[..., None], axis=-1)[..., 0]
+    return accuracy, float(-picked.mean(axis=-1))
 
 
 class TestInitModel:
@@ -507,6 +525,74 @@ class TestEvaluate:
             shifted = logits - logits.max()
             total += -(shifted[y] - math.log(np.exp(shifted).sum()))
         assert loss == pytest.approx(total / 40, abs=1e-12)
+
+
+class TestEvaluateMatchesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from([KIND_SOFTMAX_LINEAR, KIND_MLP_ONE_HIDDEN]),
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.integers(-300, 300),
+        integer_valued=st.booleans(),
+        n=st.integers(1, 40),
+        num_classes=st.integers(2, 6),
+        dim=st.integers(1, 4),
+    )
+    def test_random_scaled_parameters(
+        self, kind, seed, exponent, integer_valued, n, num_classes, dim
+    ):
+        # Integer-valued weights and features make tied logits (zeros
+        # included); large scales overflow them to inf.
+        rng = np.random.default_rng(seed)
+        spec = ModelSpec(kind=kind, feature_dim=dim, num_classes=num_classes, hidden_units=3)
+        layout = init_model(spec).layout
+        size = init_model(spec).values.size
+        if integer_valued:
+            values = rng.integers(-2, 3, size).astype(float)
+            features = rng.integers(-2, 3, (n, dim)).astype(float)
+        else:
+            values = rng.standard_normal(size)
+            features = rng.standard_normal((n, dim))
+        params = ModelParams(values=values * 10.0**exponent, layout=layout)
+        test = make_dataset(features, rng.integers(0, num_classes, n))
+        with np.errstate(all="ignore"):
+            assert repr(evaluate(params, test)) == repr(evaluate_oracle(params, test))
+
+    def test_logits_that_overflow(self):
+        layout = (("w", (3, 2)), ("b", (3,)))
+        values = np.array([1e300, 0, -1e300, 0, 1e300, 1e300, 0, 0, 0])
+        params = ModelParams(values=values, layout=layout)
+        test = make_dataset([[1e10, 0.0], [1e10, 1e10], [-1e10, 1.0]], [0, 1, 2])
+        with np.errstate(all="ignore"):
+            logits = fedgsp.trainer._forward(_split(values, layout), test.features)[0]
+            assert np.isinf(logits).any()
+            assert repr(evaluate(params, test)) == repr(evaluate_oracle(params, test))
+
+    @pytest.mark.parametrize(
+        "logits",
+        [
+            # A +-0 tie at the row maximum: the reduced maximum and the
+            # argmax's entry can differ in sign.
+            [[-0.0, 0.0, -1.0], [0.0, -0.0, -1.0], [-1.0, 0.0, -0.0], [-0.0, -2.0, 0.0]],
+            # exp-sums of exactly 1.0: the other entries underflow to 0.
+            [[0.0, -1000.0, -800.0], [-800.0, 5.0, -1000.0], [1e300, -1e300, 0.0]],
+            # All-equal logits.
+            [[3.0, 3.0, 3.0], [-0.0, -0.0, -0.0], [0.0, 0.0, 0.0], [-1e308, -1e308, -1e308]],
+            # Logits that overflowed to inf.
+            [[np.inf, 1.0, -np.inf], [np.inf, np.inf, 0.0], [-np.inf, -np.inf, -np.inf]],
+        ],
+        ids=["signed-zero-tie", "exp-sum-one", "all-equal", "infinite"],
+    )
+    @pytest.mark.parametrize("label_column", [0, 1, 2])
+    def test_hand_cases(self, monkeypatch, logits, label_column):
+        logits = np.array(logits)
+        # _forward returns these logits; evaluate shifts its copy in place.
+        monkeypatch.setattr(fedgsp.trainer, "_forward", lambda layers, x: (logits.copy(), None))
+        params = ModelParams(values=np.zeros(6), layout=(("w", (3, 1)), ("b", (3,))))
+        labels = (np.arange(len(logits)) + label_column) % 3
+        test = make_dataset(np.zeros((len(logits), 1)), labels)
+        with np.errstate(all="ignore"):
+            assert repr(evaluate(params, test)) == repr(evaluate_oracle(params, test))
 
 
 class TestSgdConfig:
