@@ -581,14 +581,9 @@ def inter_cluster_grouping(
     if group_size == 1:
         streams = iter([generator(icg_seed, "cluster-deal", 0)])
     else:
-        streams = stream_generators(
-            np.concatenate(
-                [
-                    stream_ids(icg_seed, "cluster-deal", range(group_size)),
-                    stream_ids(icg_seed, "group-order", range(group_count)),
-                ]
-            )
-        )
+        deal_ids = stream_ids(icg_seed, "cluster-deal", range(group_size))
+        order_ids = stream_ids(icg_seed, "group-order", range(group_count))
+        streams = stream_generators(np.concatenate([deal_ids, order_ids]))
     # rows[m, l]: the participant row that cluster l deals to group m.
     rows = np.empty((group_count, group_size), dtype=np.int64)
     for l, members in enumerate(_members(state.assignment, group_size)):

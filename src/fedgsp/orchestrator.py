@@ -309,15 +309,12 @@ def run_round(state: ExperimentState, round_index: int) -> RoundRecord:
     )
 
     chains = plan.groups[sampled]
-    batch_seeds = stream_ids(
-        config.run_seed,
-        "batch",
-        [
-            (round_index, group, client)
-            for group, members in zip(sampled.tolist(), chains.tolist())
-            for client in members
-        ],
-    ).reshape(chains.shape)
+    keys = [
+        (round_index, group, client)
+        for group, members in zip(sampled.tolist(), chains.tolist())
+        for client in members
+    ]
+    batch_seeds = stream_ids(config.run_seed, "batch", keys).reshape(chains.shape)
     trained = train_chains(state.params, state.clients, chains, batch_seeds, config.sgd)
     with np.errstate(over="ignore", invalid="ignore"):  # raised below, not warned
         averaged = trained.mean(axis=0)  # finite chains can still overflow their sum

@@ -137,7 +137,7 @@ def _key_hash(seed, purpose: str, ids) -> bytearray:
         if isinstance(parts, tuple):
             state.update("".join(["/" + str(part) for part in parts]).encode())
         else:
-            state.update(f"/{parts}".encode())
+            state.update(("/" + str(parts)).encode())
         digests += state.digest()
     return digests
 

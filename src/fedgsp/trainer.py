@@ -20,7 +20,10 @@ holds n samples, so :func:`train_chains` advances all G chains in lockstep:
 step t of every chain is one stacked update on a (G, P) parameter array.
 It is the one SGD loop; :func:`train_one_client` runs one client through it.
 Its independent oracles (a client-at-a-time loop on :func:`loss_and_gradient`,
-per-sample centralized SGD, finite differences) live in the tests.
+per-sample centralized SGD, finite differences) live in the tests. A call
+derives all its batch-order stream ids in one ``stream_ids`` call.
+:func:`evaluate` forms only the labels' log-probabilities, with the bits of
+the full log-softmax.
 """
 
 from __future__ import annotations

@@ -63,6 +63,7 @@ def test_bulk_ids_match_stream_id(seed, purpose, ids):
     bulk = stream_ids(seed, purpose, ids)
     assert bulk.dtype == np.uint64 and bulk.shape == (len(ids),)
     assert bulk.tolist() == [stream_id(seed, purpose, *key_parts(i)) for i in ids]
+    assert bulk.tolist() == [stream_id_oracle(seed, purpose, *key_parts(i)) for i in ids]
 
 
 @settings(max_examples=150, deadline=None)
@@ -75,6 +76,7 @@ def test_bulk_ids_with_a_seed_per_key_match_stream_id(purpose, keys):
     seeds = [seed for seed, _ in keys]
     bulk = stream_ids(seeds, purpose, [i for _, i in keys])
     assert bulk.tolist() == [stream_id(seed, purpose, *key_parts(i)) for seed, i in keys]
+    assert bulk.tolist() == [stream_id_oracle(seed, purpose, *key_parts(i)) for seed, i in keys]
 
 
 def test_streams_differ_by_purpose_and_id():
