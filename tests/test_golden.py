@@ -1,7 +1,8 @@
 """Pinned output bytes: every arm of the shipped demo config, five rounds,
 two of its SGD schedules, the shard-skew ICG path at K = 120, three rounds,
-two ICG runs that reach one-member groups (L = 1), and the synthetic task
-of the demo config and of the shard-skew run.
+two ICG runs that reach one-member groups (L = 1), the tables an ablation
+and a growth grid of the demo config write, and the synthetic task of the
+demo config and of the shard-skew run.
 
 A refactor that claims "output bytes unchanged" must keep these hashes. A
 change that moves the bytes on purpose updates them here and says why in
@@ -90,6 +91,23 @@ GOLDEN_SGD = {
 }
 
 
+# The tables ``ablation`` and ``grid`` write over their runs; row order is
+# part of the bytes (arms in ``ABLATION_ARMS`` order, cells kind-major).
+GOLDEN_TABLES = {
+    "ablation": (
+        ["ablation", "--set", "rounds=3"],
+        {
+            "comparison.csv": "5ea1f68532f4ad9af29298e844d57f552a00f6759ade8704c48073c8b0c3fe0f",
+            "cpd_pairs.csv": "a3308550cd20410a6c4e8acff3e72c9609883a714c71ea771ad3aec7acce35b7",
+        },
+    ),
+    "grid": (
+        ["grid", "--set", "rounds=2", "--kinds", "log,exp", "--alphas", "1,2", "--betas", "2,4"],
+        {"grid.csv": "3e1b6d66b48b6874ec5d99f0a5fa483ae5bf5014de66a9d6c442d938e5e13abc"},
+    ),
+}
+
+
 # Manifest identity (``ResolvedRun.content_hash``) and checkpoint
 # compatibility (``config_fingerprint``) of the demo config and of the
 # shard-skew run above.
@@ -162,6 +180,14 @@ def test_sgd_schedule_bytes_pinned(name, tmp_path):
         argv += ["--set", f"{key}={value}"]
     assert main(argv) == 0
     assert _digests(tmp_path / name, ["rounds.csv"]) == {"rounds.csv": digest}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TABLES))
+def test_table_bytes_pinned(name, tmp_path):
+    command, digests = GOLDEN_TABLES[name]
+    argv = command + ["--config", str(CONFIG), "--out", str(tmp_path), "--name", name]
+    assert main(argv) == 0
+    assert _digests(tmp_path / name, digests) == digests
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_IDENTITY))
