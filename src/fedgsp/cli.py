@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from .errors import ConfigurationError
 from .grouping import group_distributions
 from .metrics import pairwise_cpd
 from .orchestrator import (
+    FIXED_COUNT_ALGORITHMS,
     ExperimentState,
     _build_plan,
     growth_eval,
@@ -145,9 +147,8 @@ def _execute_run(
         "summary_path": summary_path.name,
     }
     _write_json(manifest_path, manifest)
-    csv_path.unlink(missing_ok=True)
-    summary_path.unlink(missing_ok=True)
-    grouping_path.unlink(missing_ok=True)
+    for stale in (csv_path, summary_path, grouping_path):
+        stale.unlink(missing_ok=True)
 
     grouping_dump = None
     try:
@@ -201,6 +202,17 @@ def _first_round_pair_cpds(state: ExperimentState):
     return zip(first.tolist(), second.tolist(), pairwise_cpd(units).tolist())
 
 
+def _run_cells(args, suffix: str, cells: dict[str, ResolvedRun]):
+    """Make the root, ``--name`` else ``<config stem>-<suffix>`` under the output root.
+
+    Returns it and a generator that runs each cell into ``<root>/<cell name>``,
+    in ``cells`` order, and yields ``(cell name, summary, state)``.
+    """
+    root = _out_root(args) / (args.name or f"{Path(args.config).stem}-{suffix}")
+    root.mkdir(parents=True, exist_ok=True)
+    return root, ((cell, *_execute_run(resolved, root / cell)) for cell, resolved in cells.items())
+
+
 def cmd_ablation(args) -> int:
     settings, overrides = _config_settings(args)
     # Without a fixed group count, freeze the naive arms at the growth
@@ -210,28 +222,19 @@ def cmd_ablation(args) -> int:
     arms = {}
     for arm in ABLATION_ARMS:
         arm_overrides = {**overrides, "algorithm": arm}
-        if arm in ("naive_gsp", "naive_gsp_icg"):
+        if arm in FIXED_COUNT_ALGORITHMS:
             arm_overrides["fixed_group_count"] = str(naive_count)
         arms[arm] = resolve(settings, arm_overrides)
 
-    name = args.name or f"{Path(args.config).stem}-ablation"
-    root = _out_root(args) / name
-    root.mkdir(parents=True, exist_ok=True)
-
+    root, runs = _run_cells(args, "ablation", arms)
+    header = ("algorithm", "final_accuracy", "final_loss", "rounds_to_target")
     comparison = []
     cpd_rows = []
-    for arm, resolved in arms.items():
-        summary, state = _execute_run(resolved, root / arm)
-        comparison.append(
-            (arm, summary["final_accuracy"], summary["final_loss"], summary["rounds_to_target"])
-        )
-        cpd_rows += [(arm, i, j, value) for i, j, value in _first_round_pair_cpds(state)]
-
-    _write_csv(
-        root / "comparison.csv",
-        ("algorithm", "final_accuracy", "final_loss", "rounds_to_target"),
-        comparison,
-    )
+    for arm, summary, state in runs:
+        comparison.append((arm, *(summary[key] for key in header[1:])))
+        cpd_rows += [(arm, *pair) for pair in _first_round_pair_cpds(state)]
+        del state  # before the next arm builds its own
+    _write_csv(root / "comparison.csv", header, comparison)
     _write_csv(root / "cpd_pairs.csv", ("algorithm", "first", "second", "cpd"), cpd_rows)
     print(f"ablation complete: {root}")
     return 0
@@ -246,44 +249,30 @@ def _parse_list(raw: str) -> list[str]:
 
 def cmd_grid(args) -> int:
     settings, overrides = _config_settings(args)
-    # Every cell resolves before any of them runs; resolve checks each item.
-    cells = [
-        resolve(
-            settings,
-            {**overrides, "growth.kind": kind, "growth.alpha": alpha, "growth.beta": beta},
-        )
-        for kind in _parse_list(args.kinds)
-        for alpha in _parse_list(args.alphas)
-        for beta in _parse_list(args.betas)
-    ]
-    # Resolving coerces items ("1" and "1.0" are one alpha), so repeats show only now.
-    cell_names = []
-    for resolved in cells:
+    # Every cell resolves before any of them runs; resolve checks each item
+    # and coerces it ("1" and "1.0" are one alpha), so repeats show only then.
+    cells = {}
+    for kind, alpha, beta in itertools.product(
+        _parse_list(args.kinds), _parse_list(args.alphas), _parse_list(args.betas)
+    ):
+        cell = {"growth.kind": kind, "growth.alpha": alpha, "growth.beta": beta}
+        resolved = resolve(settings, {**overrides, **cell})
         growth = resolved.experiment.growth
-        cell_name = f"{growth.kind}-{growth.alpha!r}-{growth.beta}"
-        if cell_name in cell_names:
-            raise ConfigurationError(f"grid cell {cell_name} is listed twice")
-        cell_names.append(cell_name)
+        name = f"{growth.kind}-{growth.alpha!r}-{growth.beta}"
+        if name in cells:
+            raise ConfigurationError(f"grid cell {name} is listed twice")
+        cells[name] = resolved
 
-    name = args.name or f"{Path(args.config).stem}-grid"
-    root = _out_root(args) / name
-    root.mkdir(parents=True, exist_ok=True)
-
+    root, runs = _run_cells(args, "grid", cells)
+    header = ("kind", "alpha", "beta", "final_loss", "final_accuracy")
     rows = []
-    for resolved, cell_name in zip(cells, cell_names):
-        growth = resolved.experiment.growth
-        summary, _ = _execute_run(resolved, root / cell_name)
-        finished = summary["rounds"] > 0
-        rows.append(
-            (
-                growth.kind,
-                growth.alpha,
-                growth.beta,
-                summary["final_loss"] if finished else math.nan,
-                summary["final_accuracy"] if finished else math.nan,
-            )
-        )
-    _write_csv(root / "grid.csv", ("kind", "alpha", "beta", "final_loss", "final_accuracy"), rows)
+    for _, summary, state in runs:
+        growth = state.config.growth
+        # A zero-round cell has no final values: nan, not an empty cell.
+        finals = [summary[key] if summary["rounds"] else math.nan for key in header[3:]]
+        rows.append((growth.kind, growth.alpha, growth.beta, *finals))
+        del state  # before the next cell builds its own
+    _write_csv(root / "grid.csv", header, rows)
     print(f"grid complete: {root} ({len(rows)} cells)")
     return 0
 

@@ -47,6 +47,8 @@ from .rng import generator, stream_id, stream_ids
 from .trainer import ModelParams, ModelSpec, SgdConfig, evaluate, init_model, train_chains
 
 ALGORITHMS = ("fedgsp", "naive_gsp", "naive_gsp_icg", "fedavg")
+# The algorithms that run at ``fixed_group_count`` groups, so need one.
+FIXED_COUNT_ALGORITHMS = ("naive_gsp", "naive_gsp_icg")
 
 GROWTH_LINEAR = "linear"
 GROWTH_LOG = "log"
@@ -151,7 +153,7 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"fixed_group_count must be >= 0, got {self.fixed_group_count}"
             )
-        if self.algorithm in ("naive_gsp", "naive_gsp_icg"):
+        if self.algorithm in FIXED_COUNT_ALGORITHMS:
             if self.fixed_group_count is None or self.fixed_group_count < 1:
                 raise ConfigurationError(
                     f"{self.algorithm} needs a positive fixed_group_count"
