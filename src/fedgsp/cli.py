@@ -7,7 +7,7 @@ pure function of the config, so two runs of the same config diff clean; only
 manifests carry wall-clock timestamps.
 
 Exit codes: 0 success, 1 config error, 2 runtime failure. The output root is
-``--out``, else ``$FEDGSP_OUT_ROOT``, else ``./runs``.
+``--out``, else ``$FEDGSP_OUT_ROOT``, else ``./runs`` (an empty value is unset).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .orchestrator import (
     FIXED_COUNT_ALGORITHMS,
     ExperimentState,
     _build_plan,
+    check_finite_float,
     growth_eval,
     preflight,
     run_rounds,
@@ -61,9 +62,8 @@ def _now() -> str:
 
 
 def _out_root(args) -> Path:
-    if args.out:
-        return Path(args.out)
-    return Path(os.environ.get(OUT_ROOT_ENV, "runs"))
+    # An empty --out or $FEDGSP_OUT_ROOT counts as unset.
+    return Path(args.out or os.environ.get(OUT_ROOT_ENV) or "runs")
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -286,9 +286,23 @@ def cmd_report(args) -> int:
     header = table[0] if table else None
     if header is None or tuple(header) != CSV_COLUMNS:
         raise ConfigurationError(f"unexpected CSV header in {args.csv}: {header}")
+    # Rows must be rounds 1, 2, ..., R in order, each one cell per column,
+    # with a finite accuracy and loss.
+    rows = []
     try:
-        rows = [(int(row[0]), float(row[3]), float(row[4])) for row in table[1:]]
-    except (ValueError, IndexError) as exc:
+        for line, cells in enumerate(table[1:], start=2):
+            if len(cells) != len(CSV_COLUMNS):
+                raise ValueError(f"line {line}: {len(cells)} cells, expected {len(CSV_COLUMNS)}")
+            row = dict(zip(CSV_COLUMNS, cells))
+            round_index = len(rows) + 1
+            if int(row["round"]) != round_index:
+                raise ValueError(f"line {line}: round {row['round']}, expected {round_index}")
+            accuracy, loss = (
+                check_finite_float(float(row[name]), f"line {line}: {name}")
+                for name in ("accuracy", "loss")
+            )
+            rows.append((round_index, accuracy, loss))
+    except ValueError as exc:
         raise ConfigurationError(f"bad row in {args.csv}: {exc}") from None
     print(json.dumps(_summary(rows, args.target_accuracy), indent=2, sort_keys=True))
     return 0

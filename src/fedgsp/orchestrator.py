@@ -373,6 +373,17 @@ def save_checkpoint(state: ExperimentState, path: str) -> None:
             os.remove(temporary)
 
 
+def check_finite_float(value, where: str) -> float:
+    """``value`` if it is a finite ``float``; else a ``ValueError`` naming ``where``.
+
+    JSON ``1`` is an int and ``true`` a bool, not floats; ``10**400`` is an
+    int too; NaN and ±Infinity are floats, but not finite.
+    """
+    if type(value) is not float or not math.isfinite(value):
+        raise ValueError(f"{where} must be a finite float, got {value!r}")
+    return value
+
+
 def _check_row(round_index: int, row) -> list[float]:
     """A checkpoint row: one finite ``float`` per measured column."""
     if not isinstance(row, list) or len(row) != len(MEASURED_COLUMNS):
@@ -380,11 +391,7 @@ def _check_row(round_index: int, row) -> list[float]:
             f"checkpoint round {round_index}: expected {len(MEASURED_COLUMNS)} values, got {row!r}"
         )
     for name, value in zip(MEASURED_COLUMNS, row):
-        # JSON 1 is an int, not a float; NaN and Infinity are floats.
-        if type(value) is not float or not math.isfinite(value):
-            raise ValueError(
-                f"checkpoint round {round_index}: {name} must be a finite float, got {value!r}"
-            )
+        check_finite_float(value, f"checkpoint round {round_index}: {name}")
     return row
 
 
@@ -393,9 +400,7 @@ def _check_values(values) -> np.ndarray:
     if not isinstance(values, list):
         raise ValueError(f"checkpoint values must be a list, got {type(values).__name__}")
     for index, value in enumerate(values):
-        # As in a row: JSON 1, true and 10**400 are not floats.
-        if type(value) is not float or not math.isfinite(value):
-            raise ValueError(f"checkpoint values[{index}] must be a finite float, got {value!r}")
+        check_finite_float(value, f"checkpoint values[{index}]")
     return np.array(values, dtype=np.float64)
 
 

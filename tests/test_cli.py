@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 
 import fedgsp.orchestrator
 import fedgsp.trainer
-from fedgsp.cli import ABLATION_ARMS, main
+from fedgsp.cli import ABLATION_ARMS, CSV_COLUMNS, main
 from fedgsp.config import (
+    _SCHEMA,
     canonical_serialization,
     load_config_file,
     parse_config_text,
@@ -68,6 +70,23 @@ def read_rows(path):
         return list(csv.reader(handle))
 
 
+@pytest.fixture()
+def live_states(monkeypatch):
+    """How many run states were still alive as each new one was built."""
+    refs = []
+    counts = []
+    original = fedgsp.orchestrator.new_experiment_state
+
+    def tracked(config):
+        counts.append(sum(ref() is not None for ref in refs))
+        state = original(config)
+        refs.append(weakref.ref(state))
+        return state
+
+    monkeypatch.setattr(fedgsp.orchestrator, "new_experiment_state", tracked)
+    return counts
+
+
 class TestConfigParsing:
     def test_parse_and_resolve(self):
         resolved = resolve(parse_config_text(BASE_CONFIG))
@@ -111,6 +130,16 @@ class TestConfigParsing:
             canonical_serialization(resolved.snapshot).encode()
         ).hexdigest()
         assert digest == resolved.content_hash
+
+    def test_readme_lists_every_config_key(self):
+        # A cost key is listed by its field name; every other key in full.
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        missing = [
+            key
+            for key in _SCHEMA
+            if (key.removeprefix("cost.") if key.startswith("cost.") else key) not in readme
+        ]
+        assert missing == []
 
     def test_seed_is_the_single_knob(self):
         a = resolve(parse_config_text(BASE_CONFIG))
@@ -306,6 +335,13 @@ class TestCmdRun:
         monkeypatch.setenv("FEDGSP_OUT_ROOT", str(tmp_path / "envroot"))
         main(["run", "--config", str(config_path)])
         assert (tmp_path / "envroot" / "smoke" / "rounds.csv").exists()
+
+    def test_empty_env_var_out_root_is_unset(self, tmp_path, config_path, monkeypatch):
+        monkeypatch.setenv("FEDGSP_OUT_ROOT", "")
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(config_path), "--name", "zz"]) == 0
+        assert (tmp_path / "runs" / "zz" / "rounds.csv").exists()
+        assert not (tmp_path / "zz").exists()
 
     def test_dump_groupings(self, tmp_path, config_path):
         out = tmp_path / "out"
@@ -655,6 +691,11 @@ class TestCmdAblation:
         assert main(argv + ["--set", "rounds=1"]) == 0
         assert len(calls) == len(ABLATION_ARMS)
 
+    def test_one_arm_state_alive_at_a_time(self, tmp_path, config_path, live_states):
+        argv = ["ablation", "--config", str(config_path), "--out", str(tmp_path / "out")]
+        assert main(argv + ["--set", "rounds=1"]) == 0
+        assert live_states == [0] * len(ABLATION_ARMS)
+
     def test_zero_rounds_leaves_comparison_cells_empty(self, tmp_path, config_path):
         out = tmp_path / "out"
         argv = ["ablation", "--config", str(config_path), "--out", str(out)]
@@ -718,6 +759,12 @@ class TestCmdGrid:
             assert manifest["config_hash"] == resolve(base, cell).content_hash
             last = read_rows(run_dir / "rounds.csv")[-1]
             assert [last[4], last[3]] == [loss, accuracy]
+
+    def test_one_cell_state_alive_at_a_time(self, tmp_path, config_path, live_states):
+        argv = ["grid", "--config", str(config_path), "--out", str(tmp_path / "out")]
+        argv += ["--set", "rounds=1", "--kinds", "log,exp", "--alphas", "1,2", "--betas", "2"]
+        assert main(argv) == 0
+        assert live_states == [0] * 4
 
     def test_bad_cell_fails_before_any_cell_runs(self, tmp_path, config_path, capsys):
         # The log cell is valid; the second kind is not, so no cell may run.
@@ -835,6 +882,24 @@ class TestCmdReport:
         assert main(["report", "--csv", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and str(bad) in err
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["1,10,3,nan,0.5,0.1,1,1,1"],
+            ["1,10,3,0.5,inf,0.1,1,1,1"],
+            ["1,10,3,0.5,1.5,0.1,1,1,1,7,8"],
+            ["3,10,3,0.9,0.5,0.1,1,1,1", "1,10,3,0.5,1.5,0.1,1,1,1"],
+        ],
+        ids=["nan-accuracy", "infinite-loss", "extra-cells", "rounds-out-of-order"],
+    )
+    def test_malformed_row_is_config_error(self, tmp_path, capsys, rows):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(row + "\n" for row in rows))
+        assert main(["report", "--csv", str(bad), "--target-accuracy", "0.0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err and str(bad) in captured.err
 
 
 class TestManifestReproducibility:
