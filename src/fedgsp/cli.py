@@ -286,8 +286,6 @@ def cmd_report(args) -> int:
     header = table[0] if table else None
     if header is None or tuple(header) != CSV_COLUMNS:
         raise ConfigurationError(f"unexpected CSV header in {args.csv}: {header}")
-    # Rows must be rounds 1, 2, ..., R in order, each one cell per column,
-    # with a finite accuracy and loss.
     rows = []
     try:
         for line, cells in enumerate(table[1:], start=2):
