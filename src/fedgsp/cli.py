@@ -296,7 +296,7 @@ def cmd_report(args) -> int:
             if int(row["round"]) != round_index:
                 raise ValueError(f"line {line}: round {row['round']}, expected {round_index}")
             accuracy, loss = (
-                check_finite_float(float(row[name]), f"line {line}: {name}")
+                check_finite_float(float(row[name]), "line {}: {}", line, name)
                 for name in ("accuracy", "loss")
             )
             rows.append((round_index, accuracy, loss))

@@ -373,14 +373,15 @@ def save_checkpoint(state: ExperimentState, path: str) -> None:
             os.remove(temporary)
 
 
-def check_finite_float(value, where: str) -> float:
-    """``value`` if it is a finite ``float``; else a ``ValueError`` naming ``where``.
+def check_finite_float(value, where: str, *args) -> float:
+    """``value`` if it is a finite ``float``; else a ``ValueError`` naming it.
 
-    JSON ``1`` is an int and ``true`` a bool, not floats; ``10**400`` is an
-    int too; NaN and ±Infinity are floats, but not finite.
+    The name is ``where.format(*args)``, formatted only on failure, since a
+    checkpoint checks every parameter value. JSON ``1`` and ``10**400`` are
+    ints and ``true`` a bool, not floats; NaN and ±Infinity are not finite.
     """
     if type(value) is not float or not math.isfinite(value):
-        raise ValueError(f"{where} must be a finite float, got {value!r}")
+        raise ValueError(f"{where.format(*args)} must be a finite float, got {value!r}")
     return value
 
 
@@ -391,7 +392,7 @@ def _check_row(round_index: int, row) -> list[float]:
             f"checkpoint round {round_index}: expected {len(MEASURED_COLUMNS)} values, got {row!r}"
         )
     for name, value in zip(MEASURED_COLUMNS, row):
-        check_finite_float(value, f"checkpoint round {round_index}: {name}")
+        check_finite_float(value, "checkpoint round {}: {}", round_index, name)
     return row
 
 
@@ -400,7 +401,7 @@ def _check_values(values) -> np.ndarray:
     if not isinstance(values, list):
         raise ValueError(f"checkpoint values must be a list, got {type(values).__name__}")
     for index, value in enumerate(values):
-        check_finite_float(value, f"checkpoint values[{index}]")
+        check_finite_float(value, "checkpoint values[{}]", index)
     return np.array(values, dtype=np.float64)
 
 
