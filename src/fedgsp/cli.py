@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ResolvedRun, load_config_file, parse_override, resolve
+from .config import ResolvedRun, _coerce, load_config_file, parse_override, resolve
 from .errors import ConfigurationError
 from .grouping import group_distributions
 from .metrics import pairwise_cpd
@@ -278,6 +278,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_report(args) -> int:
+    target = _coerce("--target-accuracy", "float", args.target_accuracy)
     try:
         with open(args.csv, newline="", encoding="utf-8") as handle:
             table = list(csv.reader(handle))
@@ -302,7 +303,7 @@ def cmd_report(args) -> int:
             rows.append((round_index, accuracy, loss))
     except ValueError as exc:
         raise ConfigurationError(f"bad row in {args.csv}: {exc}") from None
-    print(json.dumps(_summary(rows, args.target_accuracy), indent=2, sort_keys=True))
+    print(json.dumps(_summary(rows, target), indent=2, sort_keys=True))
     return 0
 
 
@@ -360,8 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--csv", required=True, help="Path to a rounds.csv file.")
     report.add_argument(
         "--target-accuracy",
-        type=float,
-        default=0.8,
+        default="0.8",
         help="Accuracy threshold for rounds_to_target (default 0.8).",
     )
     report.set_defaults(func=cmd_report)

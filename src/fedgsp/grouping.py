@@ -161,8 +161,9 @@ def clustering_objective(
     points: np.ndarray, centroids: np.ndarray, assignment: np.ndarray
 ) -> float:
     """Sum of half squared distances from each point to its assigned centroid."""
-    diff = points - centroids[assignment]
-    return 0.5 * float(np.sum(diff * diff))
+    diff = points - centroids.take(assignment, axis=0)
+    diff *= diff
+    return 0.5 * float(np.add.reduce(diff, axis=None))
 
 
 def _scaled_costs(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -171,20 +172,28 @@ def _scaled_costs(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     Built over blocks of consecutive points, each block's difference tensor
     at most ``ASSIGNMENT_BLOCK_ELEMENTS`` elements, so memory grows with K*L,
     not K*L*C. Every cost sums its C squared differences along a contiguous
-    last axis, so the bits match a one-shot build.
+    last axis, so the bits match a one-shot build. The differences are taken
+    in float64, so integer counts cost what their float copies do.
     """
     num_points, num_clusters = len(points), len(centroids)
     span = max(1, ASSIGNMENT_BLOCK_ELEMENTS // max(1, num_clusters * points.shape[1]))
+    points = np.asarray(points, dtype=np.float64)
     blocks = []
     for start in range(0, num_points, span):
-        diff = points[start : start + span, None, :] - centroids[None, :, :]
-        blocks.append(0.5 * np.sum(diff * diff, axis=-1))
-    cost = np.concatenate(blocks)
+        # Each point's row repeated per centroid: the subtraction then runs
+        # over whole (L, C) planes.
+        diff = points[start : start + span, None, :].repeat(num_clusters, axis=1)
+        diff -= centroids
+        diff *= diff
+        blocks.append(np.add.reduce(diff, axis=-1))
+    cost = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    cost *= 0.5
     # Path costs then stay below UNREACHED // 4 in magnitude, so adding the
     # sentinel cannot overflow and no real distance reaches it.
-    if float(cost.max()) * COST_SCALE * num_clusters >= UNREACHED // 4:
+    if float(np.maximum.reduce(cost, axis=None)) * COST_SCALE * num_clusters >= UNREACHED // 4:
         raise OverflowError("assignment costs exceed the signed 64-bit range")
-    return np.rint(cost * COST_SCALE).astype(np.int64)
+    cost *= COST_SCALE
+    return np.rint(cost, out=cost).astype(np.int64)
 
 
 def _cheapest_moves(
@@ -200,15 +209,16 @@ def _cheapest_moves(
     num_clusters = len(swap)
     chosen = np.zeros(num_clusters, dtype=bool)
     chosen[clusters] = True
-    members = np.flatnonzero(chosen[assignment])
+    members = chosen[assignment].nonzero()[0]
     owner = assignment[members]
-    order = np.argsort(owner, kind="stable")  # grouped by cluster
-    members, owner = members[order], owner[order]
     sizes = np.bincount(owner, minlength=num_clusters)[clusters]
+    order = owner.argsort(kind="stable")  # grouped by cluster
+    members = members[order]
     occupied = sizes > 0
-    starts = (np.cumsum(sizes) - sizes)[occupied]
+    starts = (sizes.cumsum() - sizes)[occupied]
 
-    delta = scaled[members] - scaled[members, owner][:, None]
+    delta = scaled.take(members, axis=0)
+    delta -= scaled[members, owner[order]][:, None]
     swap[clusters[occupied]] = np.minimum.reduceat(delta, starts, axis=0)
 
 
@@ -224,24 +234,29 @@ def _shortest_paths(swap: np.ndarray, excess: np.ndarray) -> tuple[np.ndarray, n
     cycle or when no under-full cluster is reached.
     """
     num_clusters = len(excess)
-    roots = excess > 0
-    dist = np.where(roots, 0, UNREACHED)
-    pred = np.full(num_clusters, -1)
-    frontier = np.flatnonzero(roots)
+    frontier = (excess > 0).nonzero()[0]
+    dist = np.empty(num_clusters, dtype=np.int64)
+    dist.fill(UNREACHED)
+    dist[frontier] = 0
+    pred = np.empty(num_clusters, dtype=np.int64)
+    pred.fill(-1)
     columns = np.arange(num_clusters)
+    via = swap.take(frontier, axis=0)  # the roots' rows: their distance is 0
     for _ in range(num_clusters):
-        via = dist[frontier, None] + swap[frontier]
         tail = via.argmin(axis=0)
         best = via[tail, columns]
-        better = np.flatnonzero(best < dist)
-        if not len(better):
+        better = best < dist
+        fell = better.nonzero()[0]
+        if not len(fell):
             break
-        dist[better] = best[better]
-        pred[better] = frontier[tail[better]]
-        frontier = better
+        np.copyto(dist, best, where=better)
+        np.copyto(pred, frontier[tail], where=better)
+        frontier = fell
+        via = swap.take(frontier, axis=0)
+        via += dist[frontier][:, None]
     else:
         raise RuntimeError("negative cycle in the balanced-assignment cluster graph")
-    if dist[excess < 0].min() == UNREACHED:
+    if np.minimum.reduce(dist[excess < 0]) == UNREACHED:
         raise RuntimeError("no under-full cluster is reachable")
     return dist, pred
 
@@ -295,10 +310,12 @@ def _run_limit(
     leaves the int64 range.
     """
     bound = dist + swap[:, target]
-    rivals = np.flatnonzero(excess < 0)
-    bound[rivals] = np.minimum(bound[rivals], dist[rivals] - (rivals < target))
-    bound[[source, target]] = UNREACHED
-    return int(bound.min())
+    rivals = (excess < 0).nonzero()[0]
+    rival = dist[rivals]
+    rival -= rivals < target
+    bound[rivals] = np.minimum(bound[rivals], rival, out=rival)
+    bound[source] = bound[target] = UNREACHED
+    return int(np.minimum.reduce(bound))
 
 
 def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -401,49 +418,55 @@ def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     scaled = _scaled_costs(points, centroids)
     assignment = scaled.argmin(axis=1)
     excess = np.bincount(assignment, minlength=num_clusters) - quota
-    swap = np.full((num_clusters, num_clusters), UNREACHED, dtype=np.int64)
+    swap = np.empty((num_clusters, num_clusters), dtype=np.int64)
+    swap.fill(UNREACHED)
+    head_of = np.empty(num_clusters, dtype=np.int64)
     touched = np.arange(num_clusters)
     roots = int(np.count_nonzero(excess > 0))  # over-full clusters; none ever refills
     while roots:
         _cheapest_moves(scaled, assignment, touched, swap)
         dist, pred = _shortest_paths(swap, excess)
         paths = _disjoint_paths(dist, pred, excess)
-        tails, heads = [], []  # the edges of longer paths, one unit each
+        # One lookup of every edge's tail members and their extra costs: the
+        # paths share no cluster, so each tail has one head, and no move
+        # below changes another edge's members.
+        heads = np.array([node for path in paths for node in path[1:]])
+        head_of.fill(-1)
+        head_of[pred[heads]] = heads  # a path edge's tail is its head's predecessor
+        members = (head_of[assignment] >= 0).nonzero()[0]  # ids ascending
+        owner = assignment[members]
+        head = head_of[owner]
+        extra = scaled[members, head]
+        extra -= scaled[members, owner]
+        left = excess.tolist()
+        tails = []  # the edges of longer paths, one unit each
         for path in paths:
             source, target = path[0], path[-1]
             if len(path) > 2:
                 tails += path[:-1]
-                heads += path[1:]
                 units = 1
             else:
-                units = min(excess[source], -excess[target])
+                units = min(left[source], -left[target])
                 limit = swap[source, target]
                 if units > 1 and len(paths) == 1 and roots == 1:
                     # one root: run on as far as the next searches would
                     limit = _run_limit(dist, swap, excess, source, target)
-                members = np.flatnonzero(assignment == source)  # ids ascending
-                extra = scaled[members, target] - scaled[members, source]
-                run = np.flatnonzero(extra <= limit)
+                run = ((owner == source) & (extra <= limit)).nonzero()[0]
                 if limit > swap[source, target]:  # else every extra in the run is swap
-                    run = run[np.argsort(extra[run], kind="stable")]
-                run = run[:units]
-                assignment[members[run]] = target
+                    run = run[extra[run].argsort(kind="stable")]
+                run = members[run[:units]]
+                assignment[run] = target
                 units = len(run)
             excess[source] -= units
             excess[target] += units
-            if not excess[source]:
+            if units == left[source]:
                 roots -= 1
-        if tails:  # paths share no cluster, so each tail has one head
-            head_of = np.full(num_clusters, -1)
-            head_of[tails] = heads
-            members = np.flatnonzero(head_of[assignment] >= 0)  # ids ascending
-            owner = assignment[members]
-            head = head_of[owner]
-            hits = members[scaled[members, head] - scaled[members, owner] == swap[owner, head]]
-            lowest = np.full(num_clusters, num_points)
-            np.minimum.at(lowest, assignment[hits], hits)  # lowest hit id of each tail
-            moved = lowest[lowest < num_points]
-            assignment[moved] = head_of[assignment[moved]]  # all found before any moves
+        if tails:
+            hits = (extra == swap[owner, head]).nonzero()[0]
+            lowest = np.empty(num_clusters, dtype=np.int64)
+            lowest.fill(num_points)
+            np.minimum.at(lowest, owner[hits], members[hits])  # lowest hit id of each tail
+            assignment[lowest[tails]] = head_of[tails]  # all found before any moves
         touched = np.array(sorted(node for path in paths for node in path))
     return assignment
 
@@ -461,7 +484,8 @@ def _members(assignment: np.ndarray, num_clusters: int) -> np.ndarray:
 
 def cluster_update(points: np.ndarray, assignment: np.ndarray) -> np.ndarray:
     """Move each centroid to the mean of its members."""
-    return points[_members(assignment, int(assignment.max()) + 1)].mean(axis=1)
+    members = _members(assignment, int(assignment.max()) + 1)
+    return np.add.reduce(points.take(members, axis=0), axis=1) / members.shape[1]
 
 
 def constrained_cluster(
@@ -482,7 +506,7 @@ def constrained_cluster(
     the history is the one objective at that centroid.
     """
     if cluster_count == 1:
-        centroids = points.mean(axis=0, keepdims=True)
+        centroids = np.add.reduce(points, axis=0, keepdims=True) / len(points)
         assignment = np.zeros(len(points), dtype=np.int64)
         state = ClusterState(centroids=centroids, assignment=assignment)
         return state, (clustering_objective(points, centroids, assignment),)
@@ -497,9 +521,9 @@ def constrained_cluster(
         history.append(clustering_objective(points, centroids, assignment))
         updated = cluster_update(points, assignment)
         history.append(clustering_objective(points, updated, assignment))
-        displacement = float(
-            np.sqrt(np.sum((updated - centroids) ** 2, axis=1)).max()
-        )
+        shift = updated - centroids
+        shift *= shift
+        displacement = float(np.sqrt(np.add.reduce(shift, axis=1)).max())
         centroids = updated
         if displacement < CENTROID_TOLERANCE:
             break

@@ -897,6 +897,15 @@ class TestCmdReport:
         assert captured.out == ""
         assert "config error" in captured.err and str(bad) in captured.err
 
+    @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+    def test_non_finite_target_accuracy_is_config_error(self, tmp_path, capsys, target):
+        good = tmp_path / "rounds.csv"
+        good.write_text(",".join(CSV_COLUMNS) + "\n1,10,3,0.5,1.5,0.1,1,1,1\n")
+        assert main(["report", "--csv", str(good), f"--target-accuracy={target}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err and "finite" in captured.err
+
 
 class TestManifestReproducibility:
     def test_manifest_config_reproduces_csv_bytes(self, tmp_path, config_path):

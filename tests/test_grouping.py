@@ -12,6 +12,7 @@ from fedgsp.grouping import (
     COST_SCALE,
     UNREACHED,
     GroupingPlan,
+    _cheapest_moves,
     _disjoint_paths,
     _run_limit,
     _scaled_costs,
@@ -93,6 +94,15 @@ class TestClusterAssignment:
         with pytest.raises(ValueError):
             cluster_assignment(np.zeros((5, 2)), np.zeros((2, 2)))
 
+    def test_integer_counts_assign_as_their_float_copies(self):
+        rng = np.random.default_rng(8)
+        counts = rng.integers(0, 30, size=(24, 5))
+        centroids = counts[[1, 7, 12, 20]]
+        assignment = cluster_assignment(counts, centroids)
+        assert np.array_equal(assignment, cluster_assignment(counts * 1.0, centroids * 1.0))
+        assert np.array_equal(_scaled_costs(counts, centroids), scaled_costs(counts * 1.0,
+                                                                             centroids * 1.0))
+
 
 def scaled_costs(points, centroids):
     """The integer cost matrix that ``cluster_assignment`` optimizes."""
@@ -152,6 +162,75 @@ def empty_move_tables(num_clusters):
     shape = (num_clusters, num_clusters)
     return (np.full(shape, UNREACHED, dtype=np.int64), np.full(shape, -1, dtype=np.int64),
             np.zeros(shape, dtype=np.int64))
+
+
+def bellman_ford_reference(swap, excess):
+    """``_shortest_paths`` by its documented rule, in plain Python on Python ints.
+
+    The over-full clusters start at distance 0 with no predecessor. Each pass
+    relaxes, from the distances before it, the edges out of the clusters
+    whose distance fell in the pass before (the first pass: the roots). A
+    cluster takes its pass's cheapest relaxation, the lowest-index tail
+    among equal ones, only if it is strictly below its distance.
+    """
+    swap, excess = swap.tolist(), excess.tolist()
+    nodes = range(len(excess))
+    dist = [0 if units > 0 else UNREACHED for units in excess]
+    pred = [-1 for _ in nodes]
+    frontier = [node for node in nodes if excess[node] > 0]
+    for _ in nodes:
+        fell = []
+        for head in nodes:
+            cost, tail = min((dist[tail] + swap[tail][head], tail) for tail in frontier)
+            if cost < dist[head]:
+                fell.append((head, cost, tail))
+        if not fell:
+            break
+        for head, cost, tail in fell:
+            dist[head], pred[head] = cost, tail
+        frontier = [head for head, _, _ in fell]
+    else:
+        raise RuntimeError("negative cycle in the balanced-assignment cluster graph")
+    if min(dist[node] for node in nodes if excess[node] < 0) == UNREACHED:
+        raise RuntimeError("no under-full cluster is reachable")
+    return dist, pred
+
+
+def draw_search_case(data):
+    """(swap, excess) of one search: tie-heavy, wide or free edge costs.
+
+    Tie-heavy and wide tables are ``r[a, b] + p[b] - p[a]`` with ``r >= 0``
+    and ``r[a, a] = 0``, so no cycle is negative, as in the assignment's own
+    tables; free tables may hold negative cycles. Some under-full clusters
+    are empty: their rows are ``UNREACHED``.
+    """
+    num_clusters = data.draw(st.integers(2, 16), label="L")
+    nodes = range(num_clusters)
+    excess = data.draw(st.lists(st.integers(-3, 3), min_size=num_clusters,
+                                max_size=num_clusters), label="excess")
+    root, under = data.draw(st.permutations(nodes), label="order")[:2]
+    excess[root] = max(1, excess[root])  # others may be roots too
+    excess[under] = min(-1, excess[under])
+    mode = data.draw(st.sampled_from(["tie-heavy", "wide", "free"]), label="mode")
+    size = num_clusters * num_clusters
+    if mode == "free":
+        swap = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=size,
+                                           max_size=size), label="swap"))
+    else:
+        high = 2 if mode == "tie-heavy" else 10**6
+        reduced = np.array(data.draw(st.lists(st.integers(0, high), min_size=size,
+                                              max_size=size), label="reduced"))
+        potential = np.array(data.draw(st.lists(st.integers(-high, high),
+                                                min_size=num_clusters,
+                                                max_size=num_clusters), label="potential"))
+        reduced = reduced.reshape(num_clusters, num_clusters)
+        np.fill_diagonal(reduced, 0)
+        swap = reduced + potential[None, :] - potential[:, None]
+    swap = swap.reshape(num_clusters, num_clusters).astype(np.int64)
+    empty = data.draw(st.sets(st.sampled_from([n for n in nodes if excess[n] < 0])),
+                      label="empty")
+    swap[sorted(empty)] = UNREACHED
+    return swap, np.array(excess, dtype=np.int64)
 
 
 def one_unit_assignment_oracle(points, centroids):
@@ -578,6 +657,50 @@ class TestAssignmentAgainstOracles:
         assert assignment.tolist() == expected
         assert count == searches
         assert one_unit_assignment_oracle(points, centers).tolist() == expected
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_shortest_paths_match_plain_bellman_ford(self, data):
+        swap, excess = draw_search_case(data)
+        try:
+            expected = bellman_ford_reference(swap, excess)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError, match=str(exc)):
+                _shortest_paths(swap, excess)
+            return
+        dist, pred = _shortest_paths(swap, excess)
+        assert dist.tolist() == expected[0]
+        assert pred.tolist() == expected[1]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_cheapest_moves_refresh_the_move_table_rows(self, data):
+        num_clusters = data.draw(st.integers(2, 16), label="L")
+        num_points = data.draw(st.integers(1, 40), label="K")
+        high = data.draw(st.sampled_from([3, 10**6]), label="high")
+        scaled = np.array(
+            data.draw(st.lists(st.integers(0, high), min_size=num_points * num_clusters,
+                               max_size=num_points * num_clusters), label="scaled"),
+            dtype=np.int64,
+        ).reshape(num_points, num_clusters)
+        assignment = np.array(
+            data.draw(st.lists(st.integers(0, num_clusters - 1), min_size=num_points,
+                               max_size=num_points), label="assignment"),
+            dtype=np.int64,
+        )
+        # Every refresh holds a cluster with members: an over-full root.
+        clusters = data.draw(st.sets(st.integers(0, num_clusters - 1)), label="clusters")
+        clusters.add(int(assignment[data.draw(st.integers(0, num_points - 1), label="j")]))
+        clusters = np.array(sorted(clusters))
+        swap, mover, ties = empty_move_tables(num_clusters)
+        swap[:] = np.array(
+            data.draw(st.lists(st.integers(-high, high), min_size=num_clusters**2,
+                               max_size=num_clusters**2), label="stale"),
+        ).reshape(num_clusters, num_clusters)  # rows left alone keep these
+        expected = swap.copy()
+        move_tables(scaled, assignment, clusters, expected, mover, ties)
+        _cheapest_moves(scaled, assignment, clusters, swap)
+        assert np.array_equal(swap, expected)
 
     def test_path_search_guards(self):
         # Cluster 0 is over-full and cluster 2 under-full. With no edges, 2 is
