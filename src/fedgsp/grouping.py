@@ -438,7 +438,7 @@ def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         head = head_of[owner]
         extra = scaled[members, head]
         extra -= scaled[members, owner]
-        left = excess.tolist()
+        before = excess.tolist()  # this search's excess, as Python ints
         tails = []  # the edges of longer paths, one unit each
         for path in paths:
             source, target = path[0], path[-1]
@@ -446,7 +446,7 @@ def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
                 tails += path[:-1]
                 units = 1
             else:
-                units = min(left[source], -left[target])
+                units = min(before[source], -before[target])
                 limit = swap[source, target]
                 if units > 1 and len(paths) == 1 and roots == 1:
                     # one root: run on as far as the next searches would
@@ -459,7 +459,7 @@ def cluster_assignment(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
                 units = len(run)
             excess[source] -= units
             excess[target] += units
-            if units == left[source]:
+            if units == before[source]:
                 roots -= 1
         if tails:
             hits = (extra == swap[owner, head]).nonzero()[0]
