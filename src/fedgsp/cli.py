@@ -161,7 +161,7 @@ def _execute_run(
         for _ in run_rounds(state, checkpoint_path, checkpoint_every):
             if grouping_dump is not None:
                 grouping_dump.write(state.last_plan.to_json() + "\n")
-    except Exception as exc:
+    except BaseException as exc:  # an interrupt, too, ends the run
         manifest["status"] = "failed"
         manifest["error"] = f"{type(exc).__name__}: {exc}"
         manifest["failed_round"] = len(state.records) + 1
@@ -300,6 +300,12 @@ def cmd_report(args) -> int:
                 check_finite_float(float(row[name]), "line {}: {}", line, name)
                 for name in ("accuracy", "loss")
             )
+            # An accuracy is a mean of matches; a loss is a mean of negated
+            # log-probabilities.
+            if not 0.0 <= accuracy <= 1.0:
+                raise ValueError(f"line {line}: accuracy must be in [0, 1], got {accuracy!r}")
+            if loss < 0.0:
+                raise ValueError(f"line {line}: loss must be >= 0, got {loss!r}")
             rows.append((round_index, accuracy, loss))
     except ValueError as exc:
         raise ConfigurationError(f"bad row in {args.csv}: {exc}") from None

@@ -561,6 +561,27 @@ class TestCmdRun:
         assert manifest["failed_round"] == 3
         assert not (out / "smoke" / "rounds.csv").exists()
 
+    def test_interrupted_run_marks_the_manifest_failed(
+        self, tmp_path, config_path, monkeypatch
+    ):
+        run_round = fedgsp.orchestrator.run_round
+
+        def interrupt_round_two(state, round_index):
+            if round_index == 2:
+                raise KeyboardInterrupt
+            return run_round(state, round_index)
+
+        monkeypatch.setattr(fedgsp.orchestrator, "run_round", interrupt_round_two)
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(config_path), "--out", str(out), "--set", "rounds=3"]
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        manifest = json.loads((out / "smoke" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["failed_round"] == 2
+        assert manifest["finished_at"] is not None
+        assert not (out / "smoke" / "rounds.csv").exists()
+
     def test_diverging_run_prints_only_the_error(self, tmp_path):
         # A fresh interpreter, so numpy's warnings reach stderr as they would
         # for a user (pytest records them instead).
@@ -886,8 +907,19 @@ class TestCmdReport:
             ["1,10,3,0.5,inf,0.1,1,1,1"],
             ["1,10,3,0.5,1.5,0.1,1,1,1,7,8"],
             ["3,10,3,0.9,0.5,0.1,1,1,1", "1,10,3,0.5,1.5,0.1,1,1,1"],
+            ["1,10,3,1.5,0.5,0.1,1,1,1"],
+            ["1,10,3,0.5,0.5,0.1,1,1,1", "2,10,3,-0.25,0.5,0.1,1,1,1"],
+            ["1,10,3,0.5,-2.0,0.1,1,1,1"],
         ],
-        ids=["nan-accuracy", "infinite-loss", "extra-cells", "rounds-out-of-order"],
+        ids=[
+            "nan-accuracy",
+            "infinite-loss",
+            "extra-cells",
+            "rounds-out-of-order",
+            "accuracy-above-one",
+            "negative-accuracy",
+            "negative-loss",
+        ],
     )
     def test_malformed_row_is_config_error(self, tmp_path, capsys, rows):
         bad = tmp_path / "bad.csv"
