@@ -65,8 +65,6 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-# suite: (fresh processes per case and source, unit of its times)
-SUITES = {"task": (5, "s"), "overhead": (3, "us"), "ladder": (3, "ms")}
 REPEATS = 7  # timings per case and process (overhead and ladder)
 SKEWS = ("dirichlet", "shards")
 TASK_CLIENTS = (1000, 10000)
@@ -207,7 +205,12 @@ def ladder_child() -> dict:
     return cases
 
 
-CHILDREN = {"task": task_child, "overhead": overhead_child, "ladder": ladder_child}
+# suite: (child body, fresh processes per case and source, unit of its times)
+SUITES = {
+    "task": (task_child, 5, "s"),
+    "overhead": (overhead_child, 3, "us"),
+    "ladder": (ladder_child, 3, "ms"),
+}
 
 
 def child_arguments(suite: str) -> list[tuple[str, ...]]:
@@ -254,11 +257,11 @@ def main() -> None:
     parser.add_argument("--src", type=Path, action="append")
     parser.add_argument("--child", nargs="*", help=argparse.SUPPRESS)
     args = parser.parse_args()
+    child, processes, unit = SUITES[args.suite]
     if args.child is not None:
-        print(json.dumps(CHILDREN[args.suite](*args.child)))
+        print(json.dumps(child(*args.child)))
         return
     sources = [src.resolve() for src in args.src or [ROOT / "src"]]
-    processes, unit = SUITES[args.suite]
     runs = {str(src): [] for src in sources}
     for _ in range(processes):
         for arguments in child_arguments(args.suite):
