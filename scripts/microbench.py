@@ -17,19 +17,21 @@ shards per client.
   peak RSS (``ru_maxrss``) after importing and after the call: one task
   build in a new process, so no earlier build's freed memory shapes the peak.
 - ``overhead``: three processes per source time, per call in microseconds,
-  7 times each, a round's work outside the SGD steps:
+  7 times each, parts of a round:
   - ``evaluate`` of the initial model on the test set of the demo config
     (``desk``: 1,000 samples, an MLP) and of the ``icg-shards-k120``
     overrides (``icg``: K = 120 under shards, ``softmax_linear``);
-  - one round's stream derivation, the way the call sites derive it (one
-    ``stream_ids`` call per key set, one ``seed_states`` pass per stream
-    list, orders shuffled in place in an ``arange`` tile), at the round
-    shapes of those two runs: L = 2 (desk, M = 30, 9 sampled groups) and
-    L = 15 (icg, M = 8, 2 sampled groups):
+  - at the round shapes of those two runs, L = 2 (desk, M = 30, 9 sampled
+    groups) and L = 15 (icg, M = 8, 2 sampled groups), one round's stream
+    derivation, the way the call sites derive it (one ``stream_ids`` call
+    per key set, one ``seed_states`` pass per stream list, orders shuffled
+    in place in an ``arange`` tile), and its lockstep training:
     - ``batch_seeds``: the (G, L) batch seeds of the sampled chains;
-    - ``batch_orders``: their batch-order streams and each epoch's (G, n)
-      orders;
-    - ``icg_streams``: the L cluster-deal and M group-order streams.
+    - ``batch_orders``: their batch-order streams and every (position,
+      epoch)'s (G, n) orders, shuffled in one pass over one tile;
+    - ``icg_streams``: the L cluster-deal and M group-order streams;
+    - ``train_chains``: one call on the run's clients, initial model and
+      SGD settings, with those chains and batch seeds.
 - ``ladder``: for each (K, L) rung of ``LADDER`` and each skew, the points
   are the class counts of the task (seed 3). Three processes per source time
   two ``cluster_assignment`` calls 7 times each, in milliseconds, as an ICG
@@ -76,9 +78,10 @@ ICG_OVERRIDES = {
     "fixed_group_count": "8",
     "model.kind": "softmax_linear",
 }
-# (name, L, M, sampled groups G, samples per client n): one round of each run.
-ROUND_SHAPES = (("desk", 2, 30, 9, 50), ("icg", 15, 8, 2, 50))
+# (name, L, M, sampled groups G): one round of each run.
+ROUND_SHAPES = (("desk", 2, 30, 9), ("icg", 15, 8, 2))
 EVALUATE_CALLS = 200  # calls per overhead timing
+TRAIN_CALLS = 20
 STREAM_CALLS = 500
 STREAM_SEED = 7
 LADDER = ((60, 15), (120, 15), (240, 60), (480, 120), (1000, 250))
@@ -117,8 +120,12 @@ def task_child(num_clients: str, skew: str) -> dict:
     return {f"{skew}/K{num_clients}": figures}
 
 
-def stream_cases(rng, group_size: int, group_count: int, sampled: int, n: int) -> dict:
-    """The three stream derivations of one round, as zero-argument callables."""
+def round_cases(state, group_size: int, group_count: int, sampled: int) -> dict:
+    """One round's stream derivations and lockstep training, as zero-argument callables."""
+    from fedgsp import rng
+    from fedgsp.trainer import train_chains
+
+    n = state.clients.labels.shape[1]
     round_index = 3
     chains = np.arange(sampled * group_size).reshape(sampled, group_size)
     keys = [(round_index, g, int(c)) for g, members in enumerate(chains) for c in members]
@@ -133,10 +140,9 @@ def stream_cases(rng, group_size: int, group_count: int, sampled: int, n: int) -
         flat = [s for column in seeds.T.tolist() for _ in epochs for s in column]
         ids = [e for e in epochs for _ in range(sampled)] * group_size
         streams = rng.stream_generators(rng.stream_ids(flat, "batch-order", ids))
-        for _ in range(group_size * len(epochs)):
-            orders = np.arange(n)[None].repeat(sampled, axis=0)
-            for order in orders:
-                next(streams).shuffle(order)
+        orders = np.tile(np.arange(n), (group_size, len(epochs), sampled, 1))
+        for order, stream in zip(orders.reshape(-1, n), streams):
+            stream.shuffle(order)
 
     def icg_streams():
         ids = np.concatenate([
@@ -145,24 +151,32 @@ def stream_cases(rng, group_size: int, group_count: int, sampled: int, n: int) -
         ])
         return list(rng.stream_generators(ids))
 
-    return {"batch_seeds": batch_seeds, "batch_orders": batch_orders, "icg_streams": icg_streams}
+    def training():
+        return train_chains(state.params, state.clients, chains, seeds, state.config.sgd)
+
+    return {
+        "batch_seeds": (batch_seeds, STREAM_CALLS),
+        "batch_orders": (batch_orders, STREAM_CALLS),
+        "icg_streams": (icg_streams, STREAM_CALLS),
+        "train_chains": (training, TRAIN_CALLS),
+    }
 
 
 def overhead_child() -> dict:
-    from fedgsp import rng
     from fedgsp.config import load_config_file, resolve
     from fedgsp.orchestrator import new_experiment_state
     from fedgsp.trainer import evaluate
 
     settings = load_config_file(str(ROOT / "demos" / "experiment.cfg"))
-    cases = {}
+    cases, states = {}, {}
     for name, overrides in (("desk", {}), ("icg", ICG_OVERRIDES)):
-        state = new_experiment_state(resolve(settings, overrides).experiment)
+        state = states[name] = new_experiment_state(resolve(settings, overrides).experiment)
         timed = repeat_timings(lambda: evaluate(state.params, state.test_set), EVALUATE_CALLS, 1e6)
         cases[f"evaluate/{name}"] = {"us": timed}
-    for name, group_size, group_count, sampled, n in ROUND_SHAPES:
-        for case, call in stream_cases(rng, group_size, group_count, sampled, n).items():
-            cases[f"{case}/{name}-L{group_size}"] = {"us": repeat_timings(call, STREAM_CALLS, 1e6)}
+    for name, group_size, group_count, sampled in ROUND_SHAPES:
+        round_shape = (states[name], group_size, group_count, sampled)
+        for case, (call, number) in round_cases(*round_shape).items():
+            cases[f"{case}/{name}-L{group_size}"] = {"us": repeat_timings(call, number, 1e6)}
     return cases
 
 

@@ -102,6 +102,12 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
+def _describe(exc: BaseException) -> str:
+    """``"Type: message"``, or the type name alone when the message is empty."""
+    message = str(exc)
+    return f"{type(exc).__name__}: {message}" if message else type(exc).__name__
+
+
 def _config_settings(args) -> tuple[dict[str, str], dict[str, str]]:
     """The ``--config`` file's settings and the ``--set`` overrides."""
     settings = load_config_file(args.config)
@@ -122,7 +128,9 @@ def _execute_run(
     completes. That file, ``rounds.csv`` and ``summary.json`` are deleted as
     the run starts (``checkpoint.json`` is kept); the last two are written once
     it finishes, so a failed run leaves neither. A failed run's manifest names
-    the round it failed in, one past the last completed round, as ``failed_round``.
+    the round it failed in, one past the last completed round, as
+    ``failed_round``, which is null if every round completed and writing the
+    outputs failed.
     """
     checkpoint_path = (
         str(run_dir / "checkpoint.json") if checkpoint_every is not None else None
@@ -161,25 +169,29 @@ def _execute_run(
         for _ in run_rounds(state, checkpoint_path, checkpoint_every):
             if grouping_dump is not None:
                 grouping_dump.write(state.last_plan.to_json() + "\n")
+        if grouping_dump is not None:
+            grouping_dump.close()  # a failed flush, too, fails the run
+        _write_csv(csv_path, CSV_COLUMNS, state.records)
+        summary = _summary(
+            [(r.round_index, r.accuracy, r.loss) for r in state.records], resolved.target_accuracy
+        )
+        _write_json(summary_path, summary)
+        manifest["status"] = "completed"
+        manifest["finished_at"] = _now()
+        _write_json(manifest_path, manifest)
     except BaseException as exc:  # an interrupt, too, ends the run
+        for partial in (csv_path, summary_path):
+            partial.unlink(missing_ok=True)
+        completed = len(state.records)
         manifest["status"] = "failed"
-        manifest["error"] = f"{type(exc).__name__}: {exc}"
-        manifest["failed_round"] = len(state.records) + 1
+        manifest["error"] = _describe(exc)
+        manifest["failed_round"] = None if completed == state.config.rounds else completed + 1
         manifest["finished_at"] = _now()
         _write_json(manifest_path, manifest)
         raise
     finally:
         if grouping_dump is not None:
             grouping_dump.close()
-
-    _write_csv(csv_path, CSV_COLUMNS, state.records)
-    summary = _summary(
-        [(r.round_index, r.accuracy, r.loss) for r in state.records], resolved.target_accuracy
-    )
-    _write_json(summary_path, summary)
-    manifest["status"] = "completed"
-    manifest["finished_at"] = _now()
-    _write_json(manifest_path, manifest)
     return summary, state
 
 
@@ -383,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # mid-run failure: manifest already marked failed
-        print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"runtime failure: {_describe(exc)}", file=sys.stderr)
         return 2
 
 

@@ -12,16 +12,19 @@ All math is float64 and the functions are pure, which is what makes a
 sequential chain of clients bit-reproducible and equal to centralized SGD
 over the concatenated data under a matched batch schedule.
 
-Each architecture's forward pass (:func:`_forward`), backward pass
-(:func:`_backward`) and the label cross-entropy (:func:`_cross_entropy`) are
-written once, for one model's (b, ...) arrays or a stack of G models'
-(G, b, ...) arrays. A round trains G chains of L clients, and every client
-holds n samples, so :func:`train_chains` advances all G chains in lockstep:
-step t of every chain is one stacked update on a (G, P) parameter array.
-It is the one SGD loop; :func:`train_one_client` runs one client through it.
-Its independent oracles (a client-at-a-time loop on :func:`loss_and_gradient`,
-per-sample centralized SGD, finite differences) live in the tests. A call
-derives all its batch-order stream ids in one ``stream_ids`` call.
+Each architecture's forward pass (:func:`_forward`), one batch's training
+step (:func:`_step`: forward pass, log-softmax, backward pass) and the label
+cross-entropy (:func:`_cross_entropy`) are written once, for one model's
+(b, ...) arrays or a stack of G models' (G, b, ...) arrays, on layer views
+(:func:`_views`) that a call builds once. A round trains G chains of L
+clients, and every client holds n samples, so :func:`train_chains` advances
+all G chains in lockstep: step t of every chain is one stacked update on a
+(G, P) parameter array. It is the one SGD loop; :func:`train_one_client`
+runs one client through it, and :func:`loss_and_gradient` is one model's
+:func:`_step`. The independent oracles (a client-at-a-time loop on
+:func:`loss_and_gradient`, per-sample centralized SGD, finite differences)
+live in the tests. A call derives all its batch-order stream ids in one
+``stream_ids`` call and shuffles all its batch orders in one pass.
 :func:`evaluate` forms only the labels' log-probabilities, with the bits of
 the full log-softmax.
 """
@@ -135,9 +138,14 @@ def _split(values: np.ndarray, layout) -> dict[str, np.ndarray]:
     return views
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-    return shifted - _log_sum_exp(shifted)
+def _views(values: np.ndarray, layout) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(weights, transposed weights, row-broadcast bias) of each layer, input first.
+
+    Views of a (P,) vector or of a (G, P) stack, so they follow in-place
+    updates: a training call builds them once, not at every step.
+    """
+    split = list(_split(values, layout).values())
+    return [(w, w.swapaxes(-1, -2), b[..., None, :]) for w, b in zip(split[::2], split[1::2])]
 
 
 def _log_sum_exp(shifted: np.ndarray) -> np.ndarray:
@@ -145,8 +153,8 @@ def _log_sum_exp(shifted: np.ndarray) -> np.ndarray:
     return np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
-def _forward(layers: dict[str, np.ndarray], features: np.ndarray):
-    """Return (logits, hidden activation or None) for split parameter layers.
+def _forward(layers, features: np.ndarray):
+    """Return (logits, hidden activation or None) for :func:`_views` layers.
 
     Takes one model and (b, d) features, or a stack of G models and
     (G, b, d) features.
@@ -155,39 +163,47 @@ def _forward(layers: dict[str, np.ndarray], features: np.ndarray):
     # forward pass holds one (b, H) buffer where it held two. With two, an
     # evaluation on a 1000-row test set could peak past glibc's heap-trim
     # threshold, and every later round then faulted its pages in afresh.
-    if "w1" in layers:
-        hidden = features @ _transposed(layers["w1"])
-        hidden += layers["b1"][..., None, :]
+    *hidden_layers, (_, out_transposed, out_bias) = layers
+    if hidden_layers:
+        [(_, in_transposed, in_bias)] = hidden_layers
+        hidden = features @ in_transposed
+        hidden += in_bias
         np.tanh(hidden, out=hidden)
-        logits = hidden @ _transposed(layers["w2"])
-        logits += layers["b2"][..., None, :]
+        logits = hidden @ out_transposed
+        logits += out_bias
         return logits, hidden
-    logits = features @ _transposed(layers["w"])
-    logits += layers["b"][..., None, :]
+    logits = features @ out_transposed
+    logits += out_bias
     return logits, None
 
 
-def _transposed(weights: np.ndarray) -> np.ndarray:
-    return weights.swapaxes(-1, -2)
+def _step(layers, grad_layers, x: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+    """One batch's forward pass, log-softmax and backward pass; returns the log-probabilities.
 
-
-def _backward(layers, x, hidden, log_probs, onehot, grad_layers) -> None:
-    """Write the batch-mean cross-entropy gradient into the ``grad_layers`` views.
-
-    ``layers``, ``x`` and ``hidden`` are :func:`_forward`'s, for one model or a
-    stack; ``onehot`` is the labels as float64 one-hot rows.
+    ``layers`` and ``grad_layers`` are :func:`_views` of the parameters and
+    of the gradient buffer, for one model and (b, ...) arrays or a stack of
+    G models and (G, b, ...) arrays; ``onehot`` is the labels as float64
+    one-hot rows. The batch-mean cross-entropy gradient is written into
+    ``grad_layers``. The log-softmax shifts the logits in place, the same
+    bits as out of place.
     """
+    log_probs, hidden = _forward(layers, x)
+    log_probs -= np.maximum.reduce(log_probs, axis=-1, keepdims=True)
+    log_probs -= _log_sum_exp(log_probs)
     delta = np.exp(log_probs)
     delta -= onehot
     delta /= x.shape[-2]
+    grad_weights, _, grad_bias = grad_layers[-1]  # the output layer
+    np.matmul(delta.swapaxes(-1, -2), x if hidden is None else hidden, out=grad_weights)
+    np.add.reduce(delta, axis=-2, keepdims=True, out=grad_bias)
     if hidden is not None:
-        upstream = (delta @ layers["w2"]) * (1.0 - hidden * hidden)
-        np.matmul(_transposed(upstream), x, out=grad_layers["w1"])
-        np.add.reduce(upstream, axis=-2, out=grad_layers["b1"])
-        x = hidden  # the output layer's input
-    *_, weights, bias = grad_layers.values()  # the output layer is stored last
-    np.matmul(_transposed(delta), x, out=weights)
-    np.add.reduce(delta, axis=-2, out=bias)
+        upstream = delta @ layers[1][0]
+        hidden *= hidden  # tanh's derivative 1 - hidden², formed in hidden's buffer
+        upstream *= np.subtract(1.0, hidden, out=hidden)
+        grad_weights, _, grad_bias = grad_layers[0]
+        np.matmul(upstream.swapaxes(-1, -2), x, out=grad_weights)
+        np.add.reduce(upstream, axis=-2, keepdims=True, out=grad_bias)
+    return log_probs
 
 
 def _cross_entropy(log_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -199,12 +215,10 @@ def loss_and_gradient(
     params: ModelParams, features: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the batch and its analytic gradient (flat)."""
-    layers = _split(params.values, params.layout)
-    logits, hidden = _forward(layers, features)
-    log_probs = _log_softmax(logits)
     grad = np.empty_like(params.values)
-    onehot = np.eye(log_probs.shape[-1])[labels]
-    _backward(layers, features, hidden, log_probs, onehot, _split(grad, params.layout))
+    onehot = np.eye(params.layout[-1][1][0])[labels]
+    layers, grad_layers = _views(params.values, params.layout), _views(grad, params.layout)
+    log_probs = _step(layers, grad_layers, features, onehot)
     return float(_cross_entropy(log_probs, labels)), grad
 
 
@@ -239,10 +253,11 @@ def train_chains(
     and step t of every chain runs as one stacked update. Row g of the result
     equals the parameter vector of chain g trained alone, bit for bit.
 
-    Each step runs the shared ``_forward``, ``_log_softmax`` and
-    ``_backward`` on basic slices of the epoch's gathered batches and one-hot
-    labels. It computes no loss unless its one-reduction screen is
-    non-finite, and re-checks a failed screen exactly before it raises.
+    The call builds the layer views and shuffles every batch order once;
+    each (position, epoch) gathers its own batches and one-hot labels. Each
+    step runs the shared ``_step`` on basic slices of them. It computes no
+    loss unless its two-dot screen is non-finite, and re-checks a failed
+    screen exactly before it raises.
 
     Raises:
         ValueError: If the clients hold no samples.
@@ -258,10 +273,9 @@ def train_chains(
         raise ValueError("dataset is empty")
     values = np.tile(params.values, (len(groups), 1))
     grads = np.empty_like(values)
-    # Views into values and grads: they follow the in-place updates.
-    layers = _split(values, params.layout)
-    grad_layers = _split(grads, params.layout)
+    layers, grad_layers = _views(values, params.layout), _views(grads, params.layout)
     identity = np.eye(params.layout[-1][1][0])  # C x C, C being the output bias's length
+    batches = [slice(start, start + config.batch_size) for start in range(0, n, config.batch_size)]
 
     def diverged(finite: np.ndarray, position: int, where: str) -> TrainingDivergedError:
         chain = int(np.argmin(finite))
@@ -270,41 +284,35 @@ def train_chains(
             f"non-finite {where} (learning-rate blowup?)"
         )
 
-    # Every batch-order stream of the call, seeded in one pass, in the order
-    # the loop below takes them: by position, then epoch, then chain.
+    # Every batch order of the call, by position, then epoch, then chain,
+    # seeded in one pass. permutation(n) is arange(n) shuffled: the same
+    # draws, in place.
     epochs = range(config.local_epochs)
     seeds = [seed for column in batch_seeds.T.tolist() for _ in epochs for seed in column]
     chain_epochs = [epoch for epoch in epochs for _ in range(len(groups))] * groups.shape[1]
     streams = stream_generators(stream_ids(seeds, "batch-order", chain_epochs))
+    orders = np.tile(np.arange(n), (groups.shape[1], len(epochs), len(groups), 1))
+    for order, stream in zip(orders.reshape(-1, n), streams):
+        stream.shuffle(order)
     # A blow-up overflows before the screens below raise it as
     # TrainingDivergedError; numpy would warn about it first.
     with np.errstate(over="ignore", invalid="ignore"):
-        for position in range(groups.shape[1]):
+        for position, position_orders in enumerate(orders):
             members = groups[:, position, None]
-            for epoch in epochs:
-                # permutation(n) is arange(n) shuffled: the same draws, in place.
-                orders = np.arange(n)[None].repeat(len(groups), axis=0)
-                for order in orders:
-                    next(streams).shuffle(order)
-                xs = features[members, orders]
-                ys = labels[members, orders]
+            for epoch, order in enumerate(position_orders):
+                xs = features[members, order]
+                ys = labels[members, order]
                 onehots = identity[ys]
-                for start in range(0, n, config.batch_size):
-                    batch_slice = slice(start, start + config.batch_size)
-                    x = xs[:, batch_slice]
-                    onehot = onehots[:, batch_slice]
-                    logits, hidden = _forward(layers, x)
-                    log_probs = _log_softmax(logits)
-                    _backward(layers, x, hidden, log_probs, onehot, grad_layers)
-
-                    # A non-finite entry makes this sum non-finite; a finite sum
+                for batch, rows in enumerate(batches):
+                    onehot = onehots[:, rows]
+                    log_probs = _step(layers, grad_layers, xs[:, rows], onehot)
+                    # A non-finite entry makes a dot non-finite; a finite dot
                     # that overflows is re-checked exactly before anything raises.
-                    screen = np.vdot(log_probs, onehot) + np.add.reduce(grads, axis=None)
+                    screen = np.vdot(log_probs, onehot) + np.vdot(grads, grads)
                     if not math.isfinite(screen):
-                        loss = _cross_entropy(log_probs, ys[:, batch_slice])
+                        loss = _cross_entropy(log_probs, ys[:, rows])
                         finite = np.isfinite(loss) & np.isfinite(grads).all(axis=1)
                         if not finite.all():
-                            batch = start // config.batch_size
                             where = f"loss/gradient at epoch {epoch}, batch {batch}"
                             raise diverged(finite, position, where)
                     grads *= config.learning_rate
@@ -318,7 +326,7 @@ def train_chains(
 def evaluate(params: ModelParams, dataset) -> tuple[float, float]:
     """Accuracy (argmax-match fraction) and mean cross-entropy on a dataset.
 
-    The loss has the bits of ``_cross_entropy(_log_softmax(logits), labels)``
+    The loss has the bits of ``_cross_entropy`` of ``_step``'s log-softmax
     but forms only the labels' log-probabilities. The row maximum is read at
     the accuracy's argmax, which holds the same value as the reduced maximum,
     and shifts the logits in place. Only a ±0 tie at the maximum can flip
@@ -326,7 +334,7 @@ def evaluate(params: ModelParams, dataset) -> tuple[float, float]:
     so its label entry is ``-lse`` either way.
     """
     # The hidden activation is dropped before the softmax temporaries exist.
-    logits = _forward(_split(params.values, params.layout), dataset.features)[0]
+    logits = _forward(_views(params.values, params.layout), dataset.features)[0]
     predicted = np.argmax(logits, axis=1)
     accuracy = float(np.mean(predicted == dataset.labels))
     rows = np.arange(len(logits))

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedgsp.cli
 import fedgsp.orchestrator
 import fedgsp.trainer
 from fedgsp.cli import ABLATION_ARMS, CSV_COLUMNS, main
@@ -581,6 +582,46 @@ class TestCmdRun:
         assert manifest["failed_round"] == 2
         assert manifest["finished_at"] is not None
         assert not (out / "smoke" / "rounds.csv").exists()
+
+    def test_interrupt_while_writing_the_outputs_marks_the_manifest_failed(
+        self, tmp_path, monkeypatch
+    ):
+        def interrupted_write(path, header, rows):
+            path.write_text(",".join(header) + "\n")  # a partial rounds.csv
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(fedgsp.cli, "_write_csv", interrupted_write)
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(ROOT / "demos" / "experiment.cfg"), "--out", str(out)]
+        with pytest.raises(KeyboardInterrupt):
+            main(argv + ["--set", "rounds=2"])
+        run_dir = out / "experiment"
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert (manifest["status"], manifest["error"]) == ("failed", "KeyboardInterrupt")
+        assert manifest["failed_round"] is None  # every round completed
+        assert manifest["finished_at"] is not None
+        assert not (run_dir / "rounds.csv").exists()
+        assert not (run_dir / "summary.json").exists()
+
+    def test_error_without_a_message_is_named_by_its_type(
+        self, tmp_path, config_path, monkeypatch, capsys
+    ):
+        write_json = fedgsp.cli._write_json
+
+        def failing_summary_write(path, payload):
+            write_json(path, payload)
+            if path.name == "summary.json":
+                raise OSError
+
+        monkeypatch.setattr(fedgsp.cli, "_write_json", failing_summary_write)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "runtime failure: OSError\n"
+        manifest = json.loads((out / "smoke" / "manifest.json").read_text())
+        assert (manifest["status"], manifest["error"]) == ("failed", "OSError")
+        assert manifest["failed_round"] is None
+        assert not (out / "smoke" / "rounds.csv").exists()
+        assert not (out / "smoke" / "summary.json").exists()
 
     def test_diverging_run_prints_only_the_error(self, tmp_path):
         # A fresh interpreter, so numpy's warnings reach stderr as they would

@@ -27,6 +27,7 @@ def shrunk(monkeypatch):
     monkeypatch.setattr(microbench, "LADDER", ((60, 15),))
     monkeypatch.setattr(microbench, "EVALUATE_CALLS", 1)
     monkeypatch.setattr(microbench, "STREAM_CALLS", 1)
+    monkeypatch.setattr(microbench, "TRAIN_CALLS", 1)
     # Restored after the test even if the ladder child fails mid-count.
     monkeypatch.setattr(grouping, "_shortest_paths", grouping._shortest_paths)
     return microbench
@@ -55,7 +56,7 @@ def test_overhead_times_every_case(shrunk):
         f"{case}/{shape}"
         for case in ("batch_seeds", "batch_orders", "icg_streams")
         for shape in ("desk-L2", "icg-L15")
-    } | {"evaluate/desk", "evaluate/icg"}
+    } | {"evaluate/desk", "evaluate/icg", "train_chains/desk-L2", "train_chains/icg-L15"}
     assert all(len(figures["us"]) == 1 and figures["us"][0] > 0 for figures in cases.values())
 
 

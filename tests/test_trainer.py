@@ -16,6 +16,7 @@ from fedgsp.trainer import (
     ModelSpec,
     SgdConfig,
     _split,
+    _views,
     evaluate,
     init_model,
     loss_and_gradient,
@@ -83,7 +84,7 @@ def evaluate_oracle(params, dataset):
     argmax: shift by the reduced maximum, form every log-probability, pick
     the labels'. ``evaluate`` must give the same bits.
     """
-    logits = fedgsp.trainer._forward(_split(params.values, params.layout), dataset.features)[0]
+    logits = fedgsp.trainer._forward(_views(params.values, params.layout), dataset.features)[0]
     shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     log_probs = shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
     accuracy = float(np.mean(np.argmax(logits, axis=1) == dataset.labels))
@@ -451,6 +452,30 @@ class TestTrainChains:
         )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_finite_gradients_with_overflowing_square_sum_train(self):
+        # Every sample predicts class 0 and is labelled 2, so the gradient's
+        # class-0 and class-2 rows are plus and minus the batch mean of
+        # features near 1e200: they cancel in the sum, but the sum of squares
+        # passes float64's range. The step is small enough to stay finite.
+        rng = np.random.default_rng(12)
+        spec = ModelSpec(kind="softmax_linear", feature_dim=4, num_classes=3)
+        weights = np.repeat([[1.0], [0.0], [-1.0]], 4, axis=1) * 1e-9
+        params = ModelParams(
+            values=np.concatenate([weights.ravel(), np.zeros(3)]), layout=init_model(spec).layout
+        )
+        clients = Dataset(
+            features=(1.0 + rng.random((2, 4, 4))) * 1e200, labels=np.full((2, 4), 2)
+        )
+        _, grad = loss_and_gradient(params, clients.features[0], clients.labels[0])
+        assert np.all(np.isfinite(grad))
+        assert math.isfinite(np.sum(grad))
+        assert not math.isfinite(np.vdot(grad, grad))
+        self.assert_rows_match_train_one_client(
+            params, clients, [[0, 1], [1, 0]], [[5, 6], [7, 8]],
+            SgdConfig(learning_rate=1e-220, batch_size=2),
+        )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_in_a_later_epoch_names_it(self):
         # Every step of the first epoch passes the check; chain 1 meets a
         # non-finite loss or gradient at the first step of its second epoch.
@@ -564,7 +589,7 @@ class TestEvaluateMatchesOracle:
         params = ModelParams(values=values, layout=layout)
         test = make_dataset([[1e10, 0.0], [1e10, 1e10], [-1e10, 1.0]], [0, 1, 2])
         with np.errstate(all="ignore"):
-            logits = fedgsp.trainer._forward(_split(values, layout), test.features)[0]
+            logits = fedgsp.trainer._forward(_views(values, layout), test.features)[0]
             assert np.isinf(logits).any()
             assert repr(evaluate(params, test)) == repr(evaluate_oracle(params, test))
 
